@@ -123,8 +123,8 @@ func TestSynthConformEvaluationGolden(t *testing.T) {
 }
 
 // TestSynthConformMadbenchEvaluation does the same differential for
-// MADbench2 (shared file, phase rates in play) without a golden: the
-// hand-vs-synth equality is the assertion.
+// MADbench2 (shared file, phase rates in play), pinning the synthetic
+// side's evaluation text as a golden.
 func TestSynthConformMadbenchEvaluation(t *testing.T) {
 	sess := core.NewSession(goldenCluster, core.WithCharacterizeConfig(goldenCharCfg()))
 	ch, err := sess.Characterization()
@@ -140,9 +140,11 @@ func TestSynthConformMadbenchEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("evaluate synth: %v", err)
 	}
-	if hand, syn := core.FormatEvaluation(evHand), core.FormatEvaluation(evSynth); hand != syn {
+	hand, syn := core.FormatEvaluation(evHand), core.FormatEvaluation(evSynth)
+	if hand != syn {
 		t.Errorf("evaluation diverges:\n--- hand ---\n%s\n--- synth ---\n%s", hand, syn)
 	}
+	compareGolden(t, filepath.Join("testdata", "synth_madbench_evaluation.golden.txt"), []byte(syn))
 }
 
 func compareGolden(t *testing.T, path string, got []byte) {

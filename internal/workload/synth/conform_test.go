@@ -1,6 +1,9 @@
 package synth_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -28,14 +31,29 @@ func runTraced(t *testing.T, build func() *cluster.Cluster, app workload.App) (w
 	return res, tr
 }
 
+// conformRecord renders everything the conformance tests pin about one
+// run: identity, the full Result and trace Profile (%#v, so durations
+// print as exact nanoseconds), the event count, and a SHA-256 over the
+// %+v rendering of every event (every field, every timestamp).
+func conformRecord(app workload.App, res workload.Result, tr *trace.Tracer) []byte {
+	h := sha256.New()
+	evs := tr.Events()
+	for _, ev := range evs {
+		fmt.Fprintf(h, "%+v\n", ev)
+	}
+	return fmt.Appendf(nil, "name: %q\nprocs: %d\nresult: %#v\nprofile: %#v\nevents: %d\nevents-sha256: %x\n",
+		app.Name(), app.Procs(), res, tr.Profile(), len(evs), h.Sum(nil))
+}
+
 // assertConform runs the hand-coded app and its synthetic
 // re-expression on identical fresh clusters and asserts byte-for-byte
 // equality: the full Result (times, bytes, phase rates), the raw
 // event trace (every operation, offset, size, and timestamp), and the
 // derived characterization profile. The simulation is deterministic,
 // so exact equality is the right bar — any drift means the DSL or its
-// engine diverged from the hand-coded semantics.
-func assertConform(t *testing.T, build func() *cluster.Cluster, hand workload.App, spec *synth.Spec) {
+// engine diverged from the hand-coded semantics. The synthetic run's
+// record is also pinned as testdata/conform/<name>.golden.txt.
+func assertConform(t *testing.T, name string, build func() *cluster.Cluster, hand workload.App, spec *synth.Spec) {
 	t.Helper()
 	app, err := synth.Compile(spec)
 	if err != nil {
@@ -64,17 +82,22 @@ func assertConform(t *testing.T, build func() *cluster.Cluster, hand workload.Ap
 	if !reflect.DeepEqual(handTr.Profile(), synthTr.Profile()) {
 		t.Errorf("Profile diverges:\nhand:  %+v\nsynth: %+v", handTr.Profile(), synthTr.Profile())
 	}
+	handRec, synthRec := conformRecord(hand, handRes, handTr), conformRecord(app, synthRes, synthTr)
+	if string(handRec) != string(synthRec) {
+		t.Fatalf("conformance record diverges:\nhand:\n%s\nsynth:\n%s", handRec, synthRec)
+	}
+	compareGolden(t, filepath.Join("testdata", "conform", name+".golden.txt"), synthRec)
 }
 
 func TestSynthConformBTIOFull(t *testing.T) {
 	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full}
-	assertConform(t, func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
+	assertConform(t, "btio_full", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
 		btio.New(cfg), synth.BTIOSpec(cfg))
 }
 
 func TestSynthConformBTIOSimple(t *testing.T) {
 	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Simple}
-	assertConform(t, func() *cluster.Cluster { return cluster.Aohyper(cluster.JBOD) },
+	assertConform(t, "btio_simple", func() *cluster.Cluster { return cluster.Aohyper(cluster.JBOD) },
 		btio.New(cfg), synth.BTIOSpec(cfg))
 }
 
@@ -82,26 +105,26 @@ func TestSynthConformBTIOComputeComm(t *testing.T) {
 	// Compute delays and boundary-exchange messages shift the timeline;
 	// conformance must hold with them in play.
 	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full, ComputeScale: 0.1}
-	assertConform(t, func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
+	assertConform(t, "btio_compute_comm", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
 		btio.New(cfg), synth.BTIOSpec(cfg))
 }
 
 func TestSynthConformMadbenchShared(t *testing.T) {
 	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared}
-	assertConform(t, func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
+	assertConform(t, "madbench_shared", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
 		madbench.New(cfg), synth.MadbenchSpec(cfg))
 }
 
 func TestSynthConformMadbenchUnique(t *testing.T) {
 	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Unique,
 		UseLocal: true, BusyWork: 5 * sim.Millisecond}
-	assertConform(t, func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
+	assertConform(t, "madbench_unique", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
 		madbench.New(cfg), synth.MadbenchSpec(cfg))
 }
 
 func TestSynthConformMadbenchAsync(t *testing.T) {
 	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared, AsyncWrites: true}
-	assertConform(t, func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
+	assertConform(t, "madbench_async", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
 		madbench.New(cfg), synth.MadbenchSpec(cfg))
 }
 
@@ -119,7 +142,7 @@ func TestSynthConformSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	assertConform(t, func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
+	assertConform(t, "btio_spec_roundtrip", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
 		btio.New(cfg), spec)
 }
 
