@@ -22,6 +22,7 @@ import (
 	"ioeval/internal/stats"
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -58,8 +59,8 @@ func main() {
 		sub = btio.Simple
 	}
 
-	cfg := btio.Config{Class: class, Procs: *procs, Subtype: sub, ComputeScale: 1}
-	app := btio.New(cfg)
+	spec := synth.BTIOSpec(btio.Config{Class: class, Procs: *procs, Subtype: sub, ComputeScale: 1})
+	app := synth.MustCompile(spec)
 	tr := trace.New()
 	ps := trace.NewPhaseSnapshotter(c.Eng, c.Telemetry, tr, 0)
 	fmt.Printf("running %s on %s ...\n\n", app.Name(), c.Cfg.Name)
@@ -99,7 +100,7 @@ func main() {
 			core.WithStore(st),
 			core.WithCharacterizeWorkers(*charWorkers),
 			core.WithCharacterizeConfig(cliutil.CharConfig(true, false)))
-		ev, err := sess.Evaluate(btio.New(cfg))
+		ev, err := sess.Evaluate(synth.MustCompile(spec))
 		if err != nil {
 			cliutil.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 // Package cliutil is the shared wiring of the ioeval commands: one
 // implementation of the common flags (-fault, -seed, -spans,
 // -metrics, -store), the platform/organization parsers, the quick
-// characterization preset, JSON-export helpers and the exit-code
-// conventions, so the ten main.go files cannot drift apart.
+// characterization preset, the built-in workload specs, JSON-export
+// helpers and the exit-code conventions, so the ten main.go files
+// cannot drift apart.
 //
 // Exit codes: 1 for runtime failures (Fatal), 2 for usage errors
 // (FatalUsage) — matching the flag package's own behavior on bad
@@ -21,8 +22,12 @@ import (
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/fault"
+	"ioeval/internal/sim"
 	"ioeval/internal/store"
 	"ioeval/internal/telemetry"
+	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 // Fatal prints the error prefixed with the command's name and exits
@@ -108,6 +113,35 @@ func CharConfig(quick, usePFS bool) core.CharacterizeConfig {
 		cfg.LibProcs = 4
 	}
 	return cfg
+}
+
+// WorkloadSpec returns the spec of a built-in workload at procs ranks:
+// the paper's sizes (BT-IO class C, MADbench2 18 KPIX), or with quick
+// the reduced ones (class A, 4 KPIX). Both run with their modeled
+// computation (BT-IO ComputeScale 1, MADbench2 1 s busy-work per bin).
+// usePFS puts BT-IO on the parallel filesystem; MADbench2 ignores it.
+func WorkloadSpec(name string, procs int, quick, usePFS bool) (*synth.Spec, error) {
+	switch name {
+	case "btio-full", "btio-simple":
+		cfg := btio.Config{Class: btio.ClassC, Procs: procs, Subtype: btio.Full, ComputeScale: 1, UsePFS: usePFS}
+		if quick {
+			cfg.Class = btio.ClassA
+		}
+		if name == "btio-simple" {
+			cfg.Subtype = btio.Simple
+		}
+		return synth.BTIOSpec(cfg), nil
+	case "madbench-shared", "madbench-unique":
+		cfg := madbench.Config{Procs: procs, KPix: 18, FileType: madbench.Shared, BusyWork: sim.Second}
+		if quick {
+			cfg.KPix = 4
+		}
+		if name == "madbench-unique" {
+			cfg.FileType = madbench.Unique
+		}
+		return synth.MadbenchSpec(cfg), nil
+	}
+	return nil, fmt.Errorf("unknown workload %q (want btio-full, btio-simple, madbench-shared or madbench-unique)", name)
 }
 
 // Flag registration: each helper registers one shared flag with the

@@ -9,6 +9,7 @@ import (
 
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
+	"ioeval/internal/workload/synth"
 )
 
 func TestSplitList(t *testing.T) {
@@ -103,6 +104,44 @@ func TestCharConfig(t *testing.T) {
 	}
 	if quick.LocalFileSize == 0 || quick.LocalFileSize >= 2<<30 {
 		t.Errorf("quick LocalFileSize = %d, want small and explicit", quick.LocalFileSize)
+	}
+}
+
+// TestWorkloadSpec pins the CLIs' name→spec table: the paper and quick
+// sizes, the subtype/filetype variants, the PFS mount and the modeled
+// computation.
+func TestWorkloadSpec(t *testing.T) {
+	cases := []struct {
+		name         string
+		quick, pfs   bool
+		want, mount  string
+		collectiveIO bool
+	}{
+		{"btio-full", false, false, "NAS BT-IO class C full (4 procs)", "nfs", true},
+		{"btio-simple", true, false, "NAS BT-IO class A simple (4 procs)", "nfs", false},
+		{"btio-full", true, true, "NAS BT-IO class A full (4 procs)", "pfs", true},
+		{"madbench-shared", false, true, "MADbench2 SHARED (4 procs, 18 KPIX, 8 bins)", "nfs", false},
+		{"madbench-unique", true, false, "MADbench2 UNIQUE (4 procs, 4 KPIX, 8 bins)", "nfs", false},
+	}
+	for _, tc := range cases {
+		spec, err := WorkloadSpec(tc.name, 4, tc.quick, tc.pfs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if spec.Name != tc.want || spec.Procs != 4 {
+			t.Errorf("%s quick=%v: spec (%q, %d procs), want (%q, 4)", tc.name, tc.quick, spec.Name, spec.Procs, tc.want)
+		}
+		if f := spec.Files[0]; f.Mount != tc.mount || f.CollectiveBuffering != tc.collectiveIO {
+			t.Errorf("%s pfs=%v: file %+v, want mount %q, collective buffering %v", tc.name, tc.pfs, f, tc.mount, tc.collectiveIO)
+		}
+		// The modeled computation is on: BT-IO's dump phase and
+		// MADbench2's S phase both open with a compute step.
+		if op := spec.Phases[0].Steps[0].Op; op != synth.OpCompute {
+			t.Errorf("%s: first step %v, want compute", tc.name, op)
+		}
+	}
+	if _, err := WorkloadSpec("flashio", 4, true, false); err == nil || !strings.Contains(err.Error(), "btio-full") {
+		t.Errorf("unknown workload: err = %v, want one listing the built-ins", err)
 	}
 }
 

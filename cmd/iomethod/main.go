@@ -26,9 +26,8 @@ import (
 	"ioeval/internal/core"
 	"ioeval/internal/sim"
 	"ioeval/internal/workload"
-	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/flashio"
-	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -112,26 +111,16 @@ func main() {
 
 	var app workload.App
 	switch *appName {
-	case "btio":
-		class := btio.ClassC
-		if *quick {
-			class = btio.ClassA
+	case "btio", "madbench":
+		variant := *subtype
+		if *appName == "madbench" {
+			variant = *filetype
 		}
-		sub := btio.Full
-		if *subtype == "simple" {
-			sub = btio.Simple
+		spec, err := cliutil.WorkloadSpec(*appName+"-"+variant, *procs, *quick, usePFS)
+		if err != nil {
+			cliutil.Fatal(err)
 		}
-		app = btio.New(btio.Config{Class: class, Procs: *procs, Subtype: sub, ComputeScale: 1, UsePFS: usePFS})
-	case "madbench":
-		ft := madbench.Shared
-		if *filetype == "unique" {
-			ft = madbench.Unique
-		}
-		kpix := 18
-		if *quick {
-			kpix = 4
-		}
-		app = madbench.New(madbench.Config{Procs: *procs, KPix: kpix, FileType: ft, BusyWork: sim.Second})
+		app = synth.MustCompile(spec)
 	case "flashio":
 		app = flashio.New(flashio.Config{Procs: *procs, Compute: 5 * sim.Second})
 	default:

@@ -31,9 +31,8 @@ import (
 	"ioeval/internal/sim"
 	"ioeval/internal/sweep"
 	"ioeval/internal/workload"
-	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/flashio"
-	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -130,35 +129,14 @@ func main() {
 }
 
 func appSpec(name string, procs int, quick bool) (sweep.AppSpec, error) {
-	class := btio.ClassC
-	if quick {
-		class = btio.ClassA
-	}
-	kpix := 18
-	if quick {
-		kpix = 4
-	}
-	switch name {
-	case "btio-full", "btio-simple":
-		st := btio.Full
-		if name == "btio-simple" {
-			st = btio.Simple
-		}
-		return sweep.AppSpec{Name: name, New: func() workload.App {
-			return btio.New(btio.Config{Class: class, Procs: procs, Subtype: st, ComputeScale: 1})
-		}}, nil
-	case "madbench-shared", "madbench-unique":
-		ft := madbench.Shared
-		if name == "madbench-unique" {
-			ft = madbench.Unique
-		}
-		return sweep.AppSpec{Name: name, New: func() workload.App {
-			return madbench.New(madbench.Config{Procs: procs, KPix: kpix, FileType: ft, BusyWork: sim.Second})
-		}}, nil
-	case "flashio":
+	if name == "flashio" {
 		return sweep.AppSpec{Name: name, New: func() workload.App {
 			return flashio.New(flashio.Config{Procs: procs, Compute: 5 * sim.Second})
 		}}, nil
 	}
-	return sweep.AppSpec{}, fmt.Errorf("unknown app %q", name)
+	spec, err := cliutil.WorkloadSpec(name, procs, quick, false)
+	if err != nil {
+		return sweep.AppSpec{}, err
+	}
+	return sweep.AppSpec{Name: name, New: func() workload.App { return synth.MustCompile(spec) }}, nil
 }

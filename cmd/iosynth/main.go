@@ -11,8 +11,8 @@
 //	        [-fault scenario] [-seed N] [-spans] [-metrics out.json]
 //	        [-store DIR] [-utilization]
 //
-// Emit a built-in generator's spec (the hand-coded apps re-expressed
-// in the DSL) for editing and re-running:
+// Emit a built-in workload's spec (BT-IO and MADbench2 are defined
+// only as specs) for editing and re-running:
 //
 //	iosynth -emit btio-full|btio-simple|madbench-shared|madbench-unique
 //	        [-procs N] [-quick] [-out workload.json]
@@ -25,10 +25,7 @@ import (
 
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/core"
-	"ioeval/internal/sim"
 	"ioeval/internal/stats"
-	"ioeval/internal/workload/btio"
-	"ioeval/internal/workload/madbench"
 	"ioeval/internal/workload/synth"
 )
 
@@ -146,32 +143,11 @@ func main() {
 	}
 }
 
-// emitSpec writes one of the built-in generators' specs.
+// emitSpec writes one of the built-in workloads' specs.
 func emitSpec(name string, procs int, quick bool, out string) error {
-	var spec *synth.Spec
-	switch name {
-	case "btio-full", "btio-simple":
-		class := btio.ClassC
-		if quick {
-			class = btio.ClassA
-		}
-		st := btio.Full
-		if name == "btio-simple" {
-			st = btio.Simple
-		}
-		spec = synth.BTIOSpec(btio.Config{Class: class, Procs: procs, Subtype: st, ComputeScale: 1})
-	case "madbench-shared", "madbench-unique":
-		ft := madbench.Shared
-		if name == "madbench-unique" {
-			ft = madbench.Unique
-		}
-		kpix := 18
-		if quick {
-			kpix = 4
-		}
-		spec = synth.MadbenchSpec(madbench.Config{Procs: procs, KPix: kpix, FileType: ft, BusyWork: sim.Second})
-	default:
-		return fmt.Errorf("unknown generator %q (want btio-full, btio-simple, madbench-shared or madbench-unique)", name)
+	spec, err := cliutil.WorkloadSpec(name, procs, quick, false)
+	if err != nil {
+		return err
 	}
 	if out == "" {
 		return spec.WriteJSON(os.Stdout)

@@ -23,6 +23,7 @@ import (
 	"ioeval/internal/stats"
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -54,10 +55,11 @@ func main() {
 	cfg := madbench.Config{
 		Procs: *procs, KPix: *kpix, Bins: *bins, FileType: ft, BusyWork: sim.Second,
 	}
-	app := madbench.New(cfg)
+	spec := synth.MadbenchSpec(cfg)
+	app := synth.MustCompile(spec)
 	tr := trace.New()
 	fmt.Printf("running %s on %s (slice %s per op) ...\n\n",
-		app.Name(), c.Cfg.Name, stats.IBytes(app.SliceBytes()))
+		app.Name(), c.Cfg.Name, stats.IBytes(madbench.New(cfg).SliceBytes()))
 	res, err := app.Run(c, tr)
 	if err != nil {
 		cliutil.Fatal(err)
@@ -85,7 +87,7 @@ func main() {
 			core.WithStore(st),
 			core.WithCharacterizeWorkers(*charWorkers),
 			core.WithCharacterizeConfig(cliutil.CharConfig(true, false)))
-		ev, err := sess.Evaluate(madbench.New(cfg))
+		ev, err := sess.Evaluate(synth.MustCompile(spec))
 		if err != nil {
 			cliutil.Fatal(err)
 		}

@@ -24,12 +24,9 @@ import (
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
-	"ioeval/internal/sim"
 	"ioeval/internal/stats"
 	"ioeval/internal/trace"
-	"ioeval/internal/workload"
-	"ioeval/internal/workload/btio"
-	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -53,27 +50,15 @@ func main() {
 			cliutil.Fatal(fmt.Errorf("-capture needs -out"))
 		}
 		tr := trace.New()
-		var app workload.App
-		switch *capture {
-		case "btio":
-			class := btio.ClassC
-			if *quick {
-				class = btio.ClassA
-			}
-			st := btio.Full
-			if *subtype == "simple" {
-				st = btio.Simple
-			}
-			app = btio.New(btio.Config{Class: class, Procs: *procs, Subtype: st, ComputeScale: 1})
-		case "madbench":
-			kpix := 18
-			if *quick {
-				kpix = 4
-			}
-			app = madbench.New(madbench.Config{Procs: *procs, KPix: kpix, FileType: madbench.Shared, BusyWork: sim.Second})
-		default:
-			cliutil.Fatal(fmt.Errorf("unknown workload %q", *capture))
+		name := *capture + "-shared"
+		if *capture == "btio" {
+			name = "btio-" + *subtype
 		}
+		spec, err := cliutil.WorkloadSpec(name, *procs, *quick, false)
+		if err != nil {
+			cliutil.Fatal(err)
+		}
+		app := synth.MustCompile(spec)
 		c := cluster.Aohyper(cluster.RAID5)
 		fmt.Fprintf(os.Stderr, "capturing %s ...\n", app.Name())
 		if _, err := app.Run(c, tr); err != nil {

@@ -4,7 +4,7 @@
 // discrete-event cluster I/O simulator (disks, RAID, page caches,
 // Gigabit Ethernet, NFS, an MPI-IO analogue), the paper's two
 // application workloads (NAS BT-IO and MADbench2), the
-// characterization benchmarks (IOzone-, IOR- and bonnie++-like), and
+// characterization benchmarks (IOzone- and IOR-like, plus b_eff_io), and
 // the methodology itself (internal/core): per-level performance
 // tables, the table-search algorithm, used-percentage generation and
 // the three-phase evaluation flow.

@@ -19,6 +19,7 @@ import (
 	"ioeval/internal/core"
 	"ioeval/internal/stats"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 		build := func() *cluster.Cluster { return cluster.Aohyper(org) }
 		sess := core.NewSession(build, core.WithCharacterizeConfig(charCfg))
 		for _, st := range []btio.Subtype{btio.Full, btio.Simple} {
-			app := btio.New(btio.Config{Class: btio.ClassA, Procs: 16, Subtype: st, ComputeScale: 1})
+			app := synth.MustCompile(synth.BTIOSpec(btio.Config{Class: btio.ClassA, Procs: 16, Subtype: st, ComputeScale: 1}))
 			ev, err := sess.Evaluate(app)
 			if err != nil {
 				log.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"ioeval/internal/stats"
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -46,10 +47,8 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, ft := range []madbench.FileType{madbench.Unique, madbench.Shared} {
-			app := madbench.New(madbench.Config{
-				Procs: 16, KPix: 6, Bins: 8, FileType: ft, BusyWork: sim.Second / 2,
-			})
-			ev, err := sess.Evaluate(app)
+			cfg := madbench.Config{Procs: 16, KPix: 6, Bins: 8, FileType: ft, BusyWork: sim.Second / 2}
+			ev, err := sess.Evaluate(synth.MustCompile(synth.MadbenchSpec(cfg)))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -59,7 +58,7 @@ func main() {
 
 			// Table IX: per-function used % of the local-FS level, at the
 			// application's block size, sequential mode (whole-slice ops).
-			bs := app.SliceBytes()
+			bs := madbench.New(cfg).SliceBytes()
 			lookup := func(op core.OpType) float64 {
 				rate, _, ok := ch.Table(core.LevelLocalFS).Lookup(op, bs, core.Local, trace.Sequential)
 				if !ok {

@@ -16,6 +16,7 @@ import (
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 
 	// Trace the application ONCE (on the first configuration) and
 	// build its I/O model from the signature.
-	app := btio.New(btio.Config{Class: btio.ClassA, Procs: 16, Subtype: btio.Full, ComputeScale: 1})
+	app := synth.MustCompile(synth.BTIOSpec(btio.Config{Class: btio.ClassA, Procs: 16, Subtype: btio.Full, ComputeScale: 1}))
 	ev, err := core.NewSession(builders[chs[0].Config], core.WithCharacterization(chs[0])).Evaluate(app)
 	if err != nil {
 		log.Fatal(err)

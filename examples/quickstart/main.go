@@ -27,6 +27,7 @@ import (
 	"ioeval/internal/core"
 	"ioeval/internal/store"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 func main() {
@@ -70,7 +71,7 @@ func main() {
 
 	// Phases 1 (application) + 3: run NAS BT-IO and evaluate it
 	// against the characterized tables.
-	app := btio.New(btio.Config{Class: btio.ClassA, Procs: 4, Subtype: btio.Full, ComputeScale: 1})
+	app := synth.MustCompile(synth.BTIOSpec(btio.Config{Class: btio.ClassA, Procs: 4, Subtype: btio.Full, ComputeScale: 1}))
 	ev, err := sess.Evaluate(app)
 	if err != nil {
 		log.Fatal(err)

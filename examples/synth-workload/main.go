@@ -1,11 +1,10 @@
 // synth-workload walks through the declarative synthetic-workload
 // plane: load a phase-graph spec from JSON, compile and evaluate it
-// with the same methodology pipeline the hand-coded apps use, check
-// it reproduces the hand-coded BT-IO evaluation exactly, and close
-// the loop by inferring a runnable spec back from a captured trace.
+// with the methodology pipeline, and close the loop by inferring a
+// runnable spec back from the run's captured trace.
 //
-// The committed spec files in this directory are the hand-coded apps
-// re-expressed in the DSL (emitted by `iosynth -emit ... -quick`);
+// The committed spec files in this directory are the built-in BT-IO
+// and MADbench2 definitions (emitted by `iosynth -emit ... -quick`);
 // a test keeps them in sync with the generators.
 //
 // Run with: go run ./examples/synth-workload
@@ -20,7 +19,6 @@ import (
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/trace"
-	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/synth"
 )
 
@@ -61,24 +59,10 @@ func main() {
 	}
 	fmt.Println(core.FormatEvaluation(evSynth))
 
-	// 2. Differential conformance: the spec re-expresses hand-coded
-	// BT-IO, so the evaluations must be identical — same io-time, same
-	// byte counts, same used-% verdict.
-	cfg := btio.Config{Class: btio.ClassA, Procs: 4, Subtype: btio.Full, ComputeScale: 1}
-	evHand, err := core.NewSession(build, core.WithCharacterization(ch)).Evaluate(btio.New(cfg))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if core.FormatEvaluation(evHand) == core.FormatEvaluation(evSynth) {
-		fmt.Println("conformance: synthetic evaluation == hand-coded evaluation")
-	} else {
-		fmt.Println("conformance: DIVERGED (this is a bug)")
-	}
-
-	// 3. Trace → spec inference: capture the hand-coded app's timeline
-	// and derive a replayable spec from it.
+	// 2. Trace → spec inference: capture the spec's timeline and
+	// derive a replayable spec from it.
 	tr := trace.New()
-	if _, err := btio.New(cfg).Run(build(), tr); err != nil {
+	if _, err := app.Run(build(), tr); err != nil {
 		log.Fatal(err)
 	}
 	inferred, err := trace.InferSpec(tr, "btio-inferred")

@@ -189,25 +189,6 @@ func TestIORCollectiveVsIndependent(t *testing.T) {
 	}
 }
 
-func TestBonnie(t *testing.T) {
-	c := cluster.Aohyper(cluster.RAID5)
-	res, err := RunBonnie(c.Eng, c.ServerFS, BonnieConfig{FileSize: 256 * mb, MetaFiles: 256})
-	if err != nil {
-		t.Fatalf("bonnie: %v", err)
-	}
-	if res.BlockWrite <= 0 || res.BlockRead <= 0 || res.Rewrite <= 0 {
-		t.Fatalf("block rates: %+v", res)
-	}
-	if res.CreatesPerS <= 0 || res.StatsPerS <= 0 || res.DeletesPerS <= 0 {
-		t.Fatalf("meta rates: %+v", res)
-	}
-	// Metadata ops cost ~100–200 µs each ⇒ thousands per second, not
-	// millions (sanity on the cost model).
-	if res.CreatesPerS > 1e6 {
-		t.Fatalf("creates/s = %.0f, implausibly fast", res.CreatesPerS)
-	}
-}
-
 func TestIOzoneBadConfigPanics(t *testing.T) {
 	c := cluster.Aohyper(cluster.JBOD)
 	defer func() {

@@ -1,7 +1,7 @@
 // Package bench implements the characterization benchmarks the
 // methodology drives against the simulated cluster: an IOzone-like
 // filesystem/block-level sweep, an IOR-like MPI-IO library-level
-// sweep, and a bonnie++-like metadata exerciser. Their results feed
+// sweep, and b_eff_io's effective-bandwidth patterns. Their results feed
 // the performance tables of the methodology's characterization phase
 // (core package).
 package bench

@@ -22,6 +22,7 @@ import (
 	"ioeval/internal/sim"
 	"ioeval/internal/store"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 const (
@@ -90,7 +91,7 @@ func conformOutputs(t *testing.T, cfg core.CharacterizeConfig, workers int) (cha
 	char = append([]byte(nil), buf.Bytes()...)
 
 	quick := btio.Class{Name: "Q", N: 64, Steps: 5, WriteInterval: 5}
-	ev, err := sess.Evaluate(btio.New(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}))
+	ev, err := sess.Evaluate(synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full})))
 	if err != nil {
 		t.Fatalf("evaluate (workers=%d): %v", workers, err)
 	}

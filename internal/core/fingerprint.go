@@ -19,7 +19,7 @@ import (
 
 const (
 	fingerprintFormat  = "ioeval-char-fingerprint"
-	fingerprintVersion = 1
+	fingerprintVersion = 2
 )
 
 // fingerprintEnvelope is the canonical form that gets hashed. Bumping

@@ -13,6 +13,7 @@ import (
 	"ioeval/internal/nfs"
 	"ioeval/internal/sim"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -62,7 +63,7 @@ func TestTelemetryReportGolden(t *testing.T) {
 		t.Fatalf("characterize: %v", err)
 	}
 	quick := btio.Class{Name: "Q", N: 64, Steps: 5, WriteInterval: 5}
-	ev, err := evaluate(goldenCluster(), btio.New(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}), ch)
+	ev, err := evaluate(goldenCluster(), synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full})), ch)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestDegradedReportGolden(t *testing.T) {
 		WithFaultPlan(plan),
 	)
 	quick := btio.Class{Name: "Q", N: 64, Steps: 5, WriteInterval: 5}
-	rep, err := sess.Run(btio.New(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}))
+	rep, err := sess.Run(synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full})))
 	if err != nil {
 		t.Fatalf("session run: %v", err)
 	}

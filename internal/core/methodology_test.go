@@ -11,6 +11,7 @@ import (
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 const gb = int64(1) << 30
@@ -123,7 +124,7 @@ func TestEndToEndFullVsSimple(t *testing.T) {
 	}
 	quick := btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
 	run := func(st btio.Subtype) *Evaluation {
-		ev, err := evaluate(build(), btio.New(btio.Config{Class: quick, Procs: 4, Subtype: st}), ch)
+		ev, err := evaluate(build(), synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quick, Procs: 4, Subtype: st})), ch)
 		if err != nil {
 			t.Fatalf("evaluate: %v", err)
 		}
@@ -155,7 +156,7 @@ func TestEvaluateMadBenchReportsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("characterize: %v", err)
 	}
-	app := madbench.New(madbench.Config{Procs: 4, KPix: 4, Bins: 4, FileType: madbench.Shared})
+	app := synth.MustCompile(synth.MadbenchSpec(madbench.Config{Procs: 4, KPix: 4, Bins: 4, FileType: madbench.Shared}))
 	ev, err := evaluate(build(), app, ch)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
@@ -212,9 +213,9 @@ func TestMethodologyOnPFS(t *testing.T) {
 	}
 
 	quickClass := btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
-	evPFS, err := evaluate(buildPFS(), btio.New(btio.Config{
+	evPFS, err := evaluate(buildPFS(), synth.MustCompile(synth.BTIOSpec(btio.Config{
 		Class: quickClass, Procs: 4, Subtype: btio.Simple, UsePFS: true,
-	}), chPFS)
+	})), chPFS)
 	if err != nil {
 		t.Fatalf("evaluate on PFS: %v", err)
 	}
@@ -224,9 +225,9 @@ func TestMethodologyOnPFS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("characterize NFS: %v", err)
 	}
-	evNFS, err := evaluate(buildNFS(), btio.New(btio.Config{
+	evNFS, err := evaluate(buildNFS(), synth.MustCompile(synth.BTIOSpec(btio.Config{
 		Class: quickClass, Procs: 4, Subtype: btio.Simple,
-	}), chNFS)
+	})), chNFS)
 	if err != nil {
 		t.Fatalf("evaluate on NFS: %v", err)
 	}
@@ -249,7 +250,7 @@ func TestSessionFacade(t *testing.T) {
 		WithRequirements(Requirements{MinWriteRate: 10e6, MaxIOFraction: 0.99}),
 	)
 	quickClass := btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
-	rep, err := sess.Run(btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full}))
+	rep, err := sess.Run(synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full})))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -264,7 +265,7 @@ func TestSessionFacade(t *testing.T) {
 	}
 	// Characterization must be cached across runs.
 	ch1 := rep.Characterization
-	rep2, err := sess.Run(btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Simple}))
+	rep2, err := sess.Run(synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Simple})))
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}

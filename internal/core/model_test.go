@@ -9,6 +9,7 @@ import (
 	"ioeval/internal/sim"
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 // syntheticTrace builds a trace with w write phases of wBytes and one
@@ -123,7 +124,7 @@ func TestModelValidationAgainstRuns(t *testing.T) {
 	quickClass := btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
 
 	run := func(st btio.Subtype) (*Evaluation, Prediction) {
-		app := btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: st})
+		app := synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quickClass, Procs: 4, Subtype: st}))
 		ev, err := evaluate(build(), app, ch)
 		if err != nil {
 			t.Fatalf("evaluate: %v", err)

@@ -11,11 +11,12 @@ import (
 	"ioeval/internal/sim"
 	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
-func quickGoldenBTIO() *btio.App {
+func quickGoldenBTIO() *synth.App {
 	quick := btio.Class{Name: "Q", N: 64, Steps: 5, WriteInterval: 5}
-	return btio.New(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full})
+	return synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}))
 }
 
 // pathReportJSON marshals a PathReport the way the export surfaces do.
@@ -126,7 +127,7 @@ func TestPathReportMadBench(t *testing.T) {
 	if err != nil {
 		t.Fatalf("characterize: %v", err)
 	}
-	app := madbench.New(madbench.Config{Procs: 4, KPix: 4, Bins: 4, FileType: madbench.Shared})
+	app := synth.MustCompile(synth.MadbenchSpec(madbench.Config{Procs: 4, KPix: 4, Bins: 4, FileType: madbench.Shared}))
 	ev, err := evaluate(goldenCluster(), app, ch)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)

@@ -8,13 +8,14 @@ import (
 	"ioeval/internal/fault"
 	"ioeval/internal/telemetry"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
-func quickBTIO() *btio.App {
-	return btio.New(btio.Config{
+func quickBTIO() *synth.App {
+	return synth.MustCompile(synth.BTIOSpec(btio.Config{
 		Class: btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5},
 		Procs: 4, Subtype: btio.Full,
-	})
+	}))
 }
 
 // writeRate extracts the evaluation's measured write transfer rate.
@@ -55,8 +56,8 @@ func TestSessionDegradedRAID5(t *testing.T) {
 	// Class A is big enough (~40 dumps) that the builtin failure at
 	// t=2s lands inside the write phases and the flushes feel the
 	// degraded array; the tiny quickBTIO class finishes before it.
-	app := func() *btio.App {
-		return btio.New(btio.Config{Class: btio.ClassA, Procs: 4, Subtype: btio.Full, ComputeScale: 1})
+	app := func() *synth.App {
+		return synth.MustCompile(synth.BTIOSpec(btio.Config{Class: btio.ClassA, Procs: 4, Subtype: btio.Full, ComputeScale: 1}))
 	}
 	newRep := func() *Report {
 		sess := NewSession(build,

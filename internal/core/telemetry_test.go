@@ -7,6 +7,7 @@ import (
 	"ioeval/internal/cluster"
 	"ioeval/internal/telemetry"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 // A real BT-IO run: the per-phase interval deltas must tile the run
@@ -15,7 +16,7 @@ import (
 func TestEvaluatePhaseDeltasSumToTotals(t *testing.T) {
 	c := cluster.Aohyper(cluster.RAID5)
 	quick := btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
-	app := btio.New(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full})
+	app := synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}))
 	ev, err := evaluate(c, app, &Characterization{Config: "test"})
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
@@ -102,7 +103,7 @@ func TestTelemetryReportLevelsMatchUsed(t *testing.T) {
 		t.Fatalf("characterize: %v", err)
 	}
 	quick := btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
-	ev, err := evaluate(build(), btio.New(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}), ch)
+	ev, err := evaluate(build(), synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full})), ch)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}

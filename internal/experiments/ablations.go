@@ -10,7 +10,9 @@ import (
 	"ioeval/internal/raid"
 	"ioeval/internal/sim"
 	"ioeval/internal/stats"
+	"ioeval/internal/workload"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 // The ablations quantify the design factors DESIGN.md calls out; they
@@ -18,6 +20,15 @@ import (
 // phase with sensitivity data.
 
 const mb = int64(1) << 20
+
+// runBTIO runs BT-IO on c, panicking on error like the other ablations.
+func runBTIO(c *cluster.Cluster, cfg btio.Config) workload.Result {
+	res, err := synth.MustCompile(synth.BTIOSpec(cfg)).Run(c, nil)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 // AblationCollectiveBuffering compares independent vs two-phase
 // collective I/O at small transfer sizes (IOR, 64 KB transfers).
@@ -51,14 +62,10 @@ func AblationSharedNetwork() Artifact {
 		cfg := cluster.Aohyper(cluster.RAID5).Cfg
 		cfg.SeparateDataNet = separate
 		c := cluster.New(cfg)
-		app := btio.New(btio.Config{
+		res := runBTIO(c, btio.Config{
 			Class: btio.Class{Name: "Q", N: 102, Steps: 40, WriteInterval: 5, ComputeTotal: 100 * sim.Second},
 			Procs: 16, Subtype: btio.Full, ComputeScale: 1,
 		})
-		res, err := app.Run(c, nil)
-		if err != nil {
-			panic(err)
-		}
 		name := "shared"
 		if separate {
 			name = "dedicated data net"
@@ -165,11 +172,7 @@ func AblationIONodes() Artifact {
 		cfg := cluster.Aohyper(cluster.RAID5).Cfg
 		cfg.PFSIONodes = pfsNodes
 		c := cluster.New(cfg)
-		app := btio.New(btio.Config{Class: quickClass, Procs: 16, Subtype: st, UsePFS: pfsNodes > 0})
-		res, err := app.Run(c, nil)
-		if err != nil {
-			panic(err)
-		}
+		res := runBTIO(c, btio.Config{Class: quickClass, Procs: 16, Subtype: st, UsePFS: pfsNodes > 0})
 		tb.AddRow(label, st.String(), fmt.Sprintf("%.1f s", res.IOTime.Seconds()))
 	}
 	for _, st := range []btio.Subtype{btio.Full, btio.Simple} {
@@ -190,14 +193,10 @@ func AblationAggregators() Artifact {
 		c := cluster.Aohyper(cluster.RAID5)
 		hints := mpiio.DefaultHints()
 		hints.CBNodes = n
-		app := btio.New(btio.Config{
+		res := runBTIO(c, btio.Config{
 			Class: btio.Class{Name: "Q", N: 102, Steps: 40, WriteInterval: 5},
 			Procs: 16, Subtype: btio.Full, Hints: &hints,
 		})
-		res, err := app.Run(c, nil)
-		if err != nil {
-			panic(err)
-		}
 		tb.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.1f s", res.IOTime.Seconds()))
 	}
 	return Artifact{ID: "abl-agg", Title: "Ablation: two-phase aggregator count (BT-IO full)", Text: tb.String()}
@@ -250,11 +249,7 @@ func AblationSyncExport() Artifact {
 		cfg := cluster.Aohyper(cluster.RAID5).Cfg
 		cfg.NFSServer.SyncExport = syncExport
 		c := cluster.New(cfg)
-		app := btio.New(btio.Config{Class: quickClass, Procs: 16, Subtype: btio.Simple})
-		res, err := app.Run(c, nil)
-		if err != nil {
-			panic(err)
-		}
+		res := runBTIO(c, btio.Config{Class: quickClass, Procs: 16, Subtype: btio.Simple})
 		name := "async"
 		if syncExport {
 			name = "sync (default)"

@@ -20,6 +20,7 @@ import (
 	"ioeval/internal/workload"
 	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 // Artifact is one regenerated table or figure.
@@ -115,12 +116,12 @@ func BTIOSpec(procs int, st btio.Subtype) sweep.AppSpec {
 	return sweep.AppSpec{
 		Name: fmt.Sprintf("btio/%d/%v", procs, st),
 		New: func() workload.App {
-			return btio.New(btio.Config{
+			return synth.MustCompile(synth.BTIOSpec(btio.Config{
 				Class:        btio.ClassC,
 				Procs:        procs,
 				Subtype:      st,
 				ComputeScale: 1.0,
-			})
+			}))
 		},
 	}
 }
@@ -130,13 +131,13 @@ func MadBenchSpec(procs int, ft madbench.FileType) sweep.AppSpec {
 	return sweep.AppSpec{
 		Name: fmt.Sprintf("madbench/%d/%v", procs, ft),
 		New: func() workload.App {
-			return madbench.New(madbench.Config{
+			return synth.MustCompile(synth.MadbenchSpec(madbench.Config{
 				Procs:    procs,
 				KPix:     18,
 				Bins:     8,
 				FileType: ft,
 				BusyWork: 1e9, // 1 s busy-work per bin (IO mode)
-			})
+			}))
 		},
 	}
 }

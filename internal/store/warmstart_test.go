@@ -12,6 +12,7 @@ import (
 	"ioeval/internal/sweep"
 	"ioeval/internal/workload"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 const (
@@ -58,10 +59,10 @@ func warmGrid() sweep.Grid {
 		Orgs:      []cluster.Organization{cluster.JBOD, cluster.RAID5},
 		Char:      warmChar(),
 		Apps: []sweep.AppSpec{{Name: "btio-quick", New: func() workload.App {
-			return btio.New(btio.Config{
+			return synth.MustCompile(synth.BTIOSpec(btio.Config{
 				Class: btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5},
 				Procs: 4, Subtype: btio.Full,
-			})
+			}))
 		}}},
 	}.Grid()
 }

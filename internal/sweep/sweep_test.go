@@ -14,6 +14,7 @@ import (
 	"ioeval/internal/workload"
 	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/flashio"
+	"ioeval/internal/workload/synth"
 )
 
 const (
@@ -62,7 +63,7 @@ var quickClass = btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
 func testApps() []AppSpec {
 	return []AppSpec{
 		{Name: "btio-full", New: func() workload.App {
-			return btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full})
+			return synth.MustCompile(synth.BTIOSpec(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full}))
 		}},
 		{Name: "flashio", New: func() workload.App {
 			return flashio.New(flashio.Config{Procs: 4, BlocksPerProc: 8})

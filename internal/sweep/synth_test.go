@@ -13,10 +13,10 @@ import (
 	"ioeval/internal/workload/synth"
 )
 
-// synthGrid puts the same BT-IO workload on the grid twice — once
-// hand-coded via Apps, once as a declarative spec via Specs — across
-// two organizations and a degraded scenario, so the sweep itself
-// becomes a differential harness.
+// synthGrid puts the same BT-IO spec on the grid twice — once compiled
+// up front via Apps, once as a declarative spec via Specs — across two
+// organizations and a degraded scenario, so the sweep itself becomes a
+// differential harness for the Specs axis.
 func synthGrid(t *testing.T) (Grid, string) {
 	t.Helper()
 	slow, err := fault.Builtin("slow-disk")
@@ -31,8 +31,8 @@ func synthGrid(t *testing.T) (Grid, string) {
 		Orgs:      []cluster.Organization{cluster.JBOD, cluster.RAID5},
 		Char:      quickChar(),
 		Scenarios: []fault.Plan{slow},
-		Apps: []AppSpec{{Name: "btio-hand", New: func() workload.App {
-			return btio.New(cfg)
+		Apps: []AppSpec{{Name: "btio-app", New: func() workload.App {
+			return synth.MustCompile(synth.BTIOSpec(cfg))
 		}}},
 		Specs: []*synth.Spec{spec},
 	}.Grid()
@@ -42,7 +42,7 @@ func synthGrid(t *testing.T) (Grid, string) {
 // TestSynthSweepDeterminism is the sweep acceptance for the synthetic
 // plane: a spec-driven cell runs end to end through the engine —
 // healthy and under a fault scenario — with byte-identical reports on
-// 1 and 8 workers, and produces exactly the hand-coded app's numbers
+// 1 and 8 workers, and produces exactly the Apps-axis cell's numbers
 // in every cell it shares a configuration with.
 func TestSynthSweepDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -50,7 +50,7 @@ func TestSynthSweepDeterminism(t *testing.T) {
 	}
 	grid, synthName := synthGrid(t)
 	if len(grid.Apps) != 2 {
-		t.Fatalf("grid apps = %d, want 2 (hand + spec)", len(grid.Apps))
+		t.Fatalf("grid apps = %d, want 2 (app + spec)", len(grid.Apps))
 	}
 
 	type run struct {
@@ -68,11 +68,11 @@ func TestSynthSweepDeterminism(t *testing.T) {
 		r.json, r.text = reportBytes(t, rep)
 
 		// Differential: per configuration, the synthetic cell must be
-		// indistinguishable from the hand-coded one.
-		hand := map[string]*Cell{}
+		// indistinguishable from the compiled-app one.
+		apps := map[string]*Cell{}
 		for _, cell := range rep.Cells {
-			if cell.App == "btio-hand" {
-				hand[cell.Config] = cell
+			if cell.App == "btio-app" {
+				apps[cell.Config] = cell
 			}
 		}
 		nSynth := 0
@@ -81,13 +81,13 @@ func TestSynthSweepDeterminism(t *testing.T) {
 				continue
 			}
 			nSynth++
-			h, ok := hand[cell.Config]
+			a, ok := apps[cell.Config]
 			if !ok {
-				t.Fatalf("%d workers: no hand cell for config %q", r.workers, cell.Config)
+				t.Fatalf("%d workers: no app cell for config %q", r.workers, cell.Config)
 			}
-			if cell.IOTime != h.IOTime || cell.ExecTime != h.ExecTime {
-				t.Errorf("%d workers: %q synth (io %v, exec %v) != hand (io %v, exec %v)",
-					r.workers, cell.Config, cell.IOTime, cell.ExecTime, h.IOTime, h.ExecTime)
+			if cell.IOTime != a.IOTime || cell.ExecTime != a.ExecTime {
+				t.Errorf("%d workers: %q spec (io %v, exec %v) != app (io %v, exec %v)",
+					r.workers, cell.Config, cell.IOTime, cell.ExecTime, a.IOTime, a.ExecTime)
 			}
 		}
 		// 2 orgs × (healthy + slow-disk) = 4 synth cells, one of them degraded.

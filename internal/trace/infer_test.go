@@ -31,9 +31,9 @@ func runForInfer(t *testing.T, app workload.App) (workload.Result, *trace.Tracer
 // timestamp-identical timeline.
 func assertInferReplayExact(t *testing.T, app workload.App) {
 	t.Helper()
-	_, handTr := runForInfer(t, app)
+	_, origTr := runForInfer(t, app)
 
-	spec, err := trace.InferSpec(handTr, app.Name())
+	spec, err := trace.InferSpec(origTr, app.Name())
 	if err != nil {
 		t.Fatalf("infer: %v", err)
 	}
@@ -43,13 +43,13 @@ func assertInferReplayExact(t *testing.T, app workload.App) {
 	}
 	_, replayTr := runForInfer(t, replay)
 
-	he, re := handTr.Events(), replayTr.Events()
-	if len(he) != len(re) {
-		t.Fatalf("event count: hand %d, replay %d", len(he), len(re))
+	oe, re := origTr.Events(), replayTr.Events()
+	if len(oe) != len(re) {
+		t.Fatalf("event count: original %d, replay %d", len(oe), len(re))
 	}
-	for i := range he {
-		if he[i] != re[i] {
-			t.Fatalf("event %d diverges:\nhand:   %+v\nreplay: %+v", i, he[i], re[i])
+	for i := range oe {
+		if oe[i] != re[i] {
+			t.Fatalf("event %d diverges:\noriginal: %+v\nreplay:   %+v", i, oe[i], re[i])
 		}
 	}
 }
@@ -60,9 +60,9 @@ func assertInferReplayExact(t *testing.T, app workload.App) {
 // still match the original exactly.
 func assertInferReplayBytes(t *testing.T, app workload.App) {
 	t.Helper()
-	handRes, handTr := runForInfer(t, app)
+	origRes, origTr := runForInfer(t, app)
 
-	spec, err := trace.InferSpec(handTr, app.Name())
+	spec, err := trace.InferSpec(origTr, app.Name())
 	if err != nil {
 		t.Fatalf("infer: %v", err)
 	}
@@ -72,37 +72,37 @@ func assertInferReplayBytes(t *testing.T, app workload.App) {
 	}
 	replayRes, replayTr := runForInfer(t, replay)
 
-	if handRes.BytesRead != replayRes.BytesRead || handRes.BytesWritten != replayRes.BytesWritten {
-		t.Errorf("bytes diverge: hand r=%d w=%d, replay r=%d w=%d",
-			handRes.BytesRead, handRes.BytesWritten, replayRes.BytesRead, replayRes.BytesWritten)
+	if origRes.BytesRead != replayRes.BytesRead || origRes.BytesWritten != replayRes.BytesWritten {
+		t.Errorf("bytes diverge: original r=%d w=%d, replay r=%d w=%d",
+			origRes.BytesRead, origRes.BytesWritten, replayRes.BytesRead, replayRes.BytesWritten)
 	}
 	// The replayed layout is approximated, so timing differs; every
 	// structural field of the profile must survive.
-	hp, rp := handTr.Profile(), replayTr.Profile()
+	hp, rp := origTr.Profile(), replayTr.Profile()
 	hp.ExecTime, rp.ExecTime = 0, 0
 	hp.IOTime, rp.IOTime = 0, 0
 	if !reflect.DeepEqual(hp, rp) {
-		t.Errorf("profile diverges:\nhand:   %+v\nreplay: %+v", hp, rp)
+		t.Errorf("profile diverges:\noriginal: %+v\nreplay:   %+v", hp, rp)
 	}
 }
 
 func TestInferSpecMadbenchSharedExact(t *testing.T) {
-	assertInferReplayExact(t, madbench.New(madbench.Config{
+	assertInferReplayExact(t, synth.MustCompile(synth.MadbenchSpec(madbench.Config{
 		Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared,
 		BusyWork: 5 * sim.Millisecond,
-	}))
+	})))
 }
 
 func TestInferSpecMadbenchUniqueExact(t *testing.T) {
-	assertInferReplayExact(t, madbench.New(madbench.Config{
+	assertInferReplayExact(t, synth.MustCompile(synth.MadbenchSpec(madbench.Config{
 		Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Unique,
-	}))
+	})))
 }
 
 func TestInferSpecMadbenchAsyncExact(t *testing.T) {
-	assertInferReplayExact(t, madbench.New(madbench.Config{
+	assertInferReplayExact(t, synth.MustCompile(synth.MadbenchSpec(madbench.Config{
 		Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared, AsyncWrites: true,
-	}))
+	})))
 }
 
 func TestInferSpecBTIOSimpleProfile(t *testing.T) {
@@ -110,7 +110,7 @@ func TestInferSpecBTIOSimpleProfile(t *testing.T) {
 		Class: btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5},
 		Procs: 4, Subtype: btio.Simple,
 	}
-	assertInferReplayBytes(t, btio.New(cfg))
+	assertInferReplayBytes(t, synth.MustCompile(synth.BTIOSpec(cfg)))
 }
 
 func TestInferSpecBTIOFullProfile(t *testing.T) {
@@ -118,7 +118,7 @@ func TestInferSpecBTIOFullProfile(t *testing.T) {
 		Class: btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5},
 		Procs: 4, Subtype: btio.Full,
 	}
-	assertInferReplayBytes(t, btio.New(cfg))
+	assertInferReplayBytes(t, synth.MustCompile(synth.BTIOSpec(cfg)))
 }
 
 // TestInferSpecRollsLoops pins the compression step: BT-IO's dump and
@@ -129,7 +129,7 @@ func TestInferSpecRollsLoops(t *testing.T) {
 		Class: btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5},
 		Procs: 4, Subtype: btio.Simple,
 	}
-	app := btio.New(cfg)
+	app := synth.MustCompile(synth.BTIOSpec(cfg))
 	_, tr := runForInfer(t, app)
 	spec, err := trace.InferSpec(tr, app.Name())
 	if err != nil {
@@ -145,11 +145,12 @@ func TestInferSpecRollsLoops(t *testing.T) {
 	if spec.Phases[2].Loop != dumps {
 		t.Errorf("readback phase loop = %d, want %d", spec.Phases[2].Loop, dumps)
 	}
+	dumpBytes := btio.New(cfg).DumpBytes()
 	for _, ph := range []synth.PhaseSpec{spec.Phases[0], spec.Phases[2]} {
 		for _, st := range ph.Steps {
 			if st.Op == synth.OpWrite || st.Op == synth.OpRead {
-				if st.LoopStrideBytes != app.DumpBytes() {
-					t.Errorf("%s loop stride = %d, want dump size %d", st.Op, st.LoopStrideBytes, app.DumpBytes())
+				if st.LoopStrideBytes != dumpBytes {
+					t.Errorf("%s loop stride = %d, want dump size %d", st.Op, st.LoopStrideBytes, dumpBytes)
 				}
 			}
 		}
@@ -160,7 +161,7 @@ func TestInferSpecRollsLoops(t *testing.T) {
 // named prefix.%04d, each touched by one rank, collapse to a single
 // per-rank FileSpec with the prefix as path.
 func TestInferSpecPerRankFiles(t *testing.T) {
-	app := madbench.New(madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Unique})
+	app := synth.MustCompile(synth.MadbenchSpec(madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Unique}))
 	_, tr := runForInfer(t, app)
 	spec, err := trace.InferSpec(tr, app.Name())
 	if err != nil {

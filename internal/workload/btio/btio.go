@@ -1,5 +1,5 @@
-// Package btio implements the NAS BT-IO benchmark (NPB 2.4 I/O
-// version) on the simulated cluster: the Block-Tridiagonal solver's
+// Package btio defines the NAS BT-IO benchmark (NPB 2.4 I/O version):
+// its configuration and the geometry of the Block-Tridiagonal solver's
 // diagonal multi-partitioning decomposition, a solution-field dump
 // every WriteInterval time steps, and the two I/O subtypes the paper
 // contrasts:
@@ -14,17 +14,16 @@
 // exactly in structure: class C on 16 processes yields 6561 records
 // per process per dump of 1600 and 1640 bytes (Table II); on 64
 // processes, 800- and 840-byte records (Table V).
+//
+// The runnable workload is synth.BTIOSpec, which reads this geometry.
 package btio
 
 import (
 	"fmt"
 	"math"
 
-	"ioeval/internal/cluster"
-	"ioeval/internal/fs"
 	"ioeval/internal/mpiio"
 	"ioeval/internal/sim"
-	"ioeval/internal/workload"
 )
 
 // Subtype selects the BT-IO I/O implementation.
@@ -62,7 +61,9 @@ var (
 	ClassC = Class{Name: "C", N: 162, Steps: 200, WriteInterval: 5, ComputeTotal: 2000 * sim.Second}
 )
 
-const bytesPerPoint = 5 * 8 // five double-precision words per mesh point
+// BytesPerPoint is the record unit of the solution file: five
+// double-precision words per mesh point.
+const BytesPerPoint = 5 * 8
 
 // Config parameterizes a BT-IO run.
 type Config struct {
@@ -82,7 +83,7 @@ type Config struct {
 	Hints *mpiio.Hints
 }
 
-// App is a configured BT-IO instance.
+// App is a validated BT-IO configuration and its decomposition.
 type App struct {
 	cfg Config
 	q   int   // process grid side (procs = q²)
@@ -90,9 +91,8 @@ type App struct {
 	pfx []int // prefix sums of xs
 }
 
-var _ workload.App = (*App)(nil)
-
-// New validates the configuration and returns the workload.
+// New validates and defaults the configuration and lays out its
+// decomposition; it panics on a non-square process count.
 func New(cfg Config) *App {
 	q := int(math.Sqrt(float64(cfg.Procs)))
 	if q*q != cfg.Procs || cfg.Procs == 0 {
@@ -100,9 +100,6 @@ func New(cfg Config) *App {
 	}
 	if cfg.Path == "" {
 		cfg.Path = "/btio.out"
-	}
-	if cfg.ComputeScale == 0 {
-		cfg.ComputeScale = 0 // explicit: I/O-only unless caller sets it
 	}
 	a := &App{cfg: cfg, q: q}
 	a.xs = split(cfg.Class.N, q)
@@ -127,13 +124,10 @@ func split(n, q int) []int {
 	return out
 }
 
-// Name implements workload.App.
+// Name is the workload's display name.
 func (a *App) Name() string {
 	return fmt.Sprintf("NAS BT-IO class %s %s (%d procs)", a.cfg.Class.Name, a.cfg.Subtype, a.cfg.Procs)
 }
-
-// Procs implements workload.App.
-func (a *App) Procs() int { return a.cfg.Procs }
 
 // Config returns the (defaulted) configuration the app runs.
 func (a *App) Config() Config { return a.cfg }
@@ -144,23 +138,7 @@ func (a *App) Dumps() int { return a.cfg.Class.Steps / a.cfg.Class.WriteInterval
 // DumpBytes returns the size of one solution dump.
 func (a *App) DumpBytes() int64 {
 	n := int64(a.cfg.Class.N)
-	return n * n * n * bytesPerPoint
-}
-
-// cell is one Cartesian sub-block.
-type cell struct{ cx, cy, cz int }
-
-// cells returns the q cells of a rank under diagonal
-// multi-partitioning: rank (r,c) owns, on each z-layer d, the cell
-// shifted diagonally so every layer is fully covered and each rank's
-// cells sit on a space diagonal.
-func (a *App) cells(rank int) []cell {
-	r, c := rank/a.q, rank%a.q
-	out := make([]cell, a.q)
-	for d := 0; d < a.q; d++ {
-		out[d] = cell{cx: (c + d) % a.q, cy: (r + d) % a.q, cz: d}
-	}
-	return out
+	return n * n * n * BytesPerPoint
 }
 
 // GridRange is one Cartesian sub-block of the solution grid owned by
@@ -171,22 +149,21 @@ type GridRange struct {
 	Z0, NZ int
 }
 
-// BytesPerPoint is the record unit of the solution file: five
-// double-precision words per mesh point.
-const BytesPerPoint = bytesPerPoint
-
 // Decomposition returns the rank's owned sub-blocks under diagonal
-// multi-partitioning, in dump emission order. Together with
+// multi-partitioning, in dump emission order: rank (r,c) owns, on each
+// z-layer d, the cell shifted diagonally so every layer is fully
+// covered and each rank's cells sit on a space diagonal. Together with
 // BytesPerPoint and the class N this fully determines the rank's file
-// accesses, which is how the synthetic re-expression of BT-IO derives
-// its access lists without duplicating the partitioning code.
+// accesses, which is how synth.BTIOSpec derives its access lists.
 func (a *App) Decomposition(rank int) []GridRange {
+	r, c := rank/a.q, rank%a.q
 	out := make([]GridRange, 0, a.q)
-	for _, cl := range a.cells(rank) {
+	for d := 0; d < a.q; d++ {
+		cx, cy := (c+d)%a.q, (r+d)%a.q
 		out = append(out, GridRange{
-			X0: a.pfx[cl.cx], NX: a.xs[cl.cx],
-			Y0: a.pfx[cl.cy], NY: a.xs[cl.cy],
-			Z0: a.pfx[cl.cz], NZ: a.xs[cl.cz],
+			X0: a.pfx[cx], NX: a.xs[cx],
+			Y0: a.pfx[cy], NY: a.xs[cy],
+			Z0: a.pfx[d], NZ: a.xs[d],
 		})
 	}
 	return out
@@ -195,7 +172,7 @@ func (a *App) Decomposition(rank int) []GridRange {
 // FaceBytes returns the size of one boundary-exchange message (a cell
 // face of the largest cell).
 func (a *App) FaceBytes() int64 {
-	return int64(a.xs[0]) * int64(a.xs[0]) * bytesPerPoint
+	return int64(a.xs[0]) * int64(a.xs[0]) * BytesPerPoint
 }
 
 // MessagesPerDump returns the boundary-exchange messages each rank
@@ -213,113 +190,13 @@ func (a *App) ComputePerDump() sim.Duration {
 	return sim.Duration(perRank * a.cfg.ComputeScale)
 }
 
-// dumpVecs builds the rank's records for the dump based at byte
-// offset base: one vector element per (z, y) line of each owned cell.
-func (a *App) dumpVecs(rank int, base int64) []fs.IOVec {
-	n := int64(a.cfg.Class.N)
-	var vecs []fs.IOVec
+// RecordsPerDump returns the per-rank record count for one dump, one
+// record per (z, y) line of each owned cell (6561 for class C on 16
+// procs — Table II).
+func (a *App) RecordsPerDump(rank int) int {
+	n := 0
 	for _, g := range a.Decomposition(rank) {
-		x0, nx := int64(g.X0), int64(g.NX)
-		for z := g.Z0; z < g.Z0+g.NZ; z++ {
-			for y := g.Y0; y < g.Y0+g.NY; y++ {
-				off := base + ((int64(z)*n+int64(y))*n+x0)*bytesPerPoint
-				vecs = append(vecs, fs.IOVec{Off: off, Len: nx * bytesPerPoint})
-			}
-		}
+		n += g.NZ * g.NY
 	}
-	return vecs
-}
-
-// RecordsPerDump returns the per-rank record count for one dump
-// (6561 for class C on 16 procs — Table II).
-func (a *App) RecordsPerDump(rank int) int { return len(a.dumpVecs(rank, 0)) }
-
-// Run implements workload.App.
-func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) {
-	np := a.cfg.Procs
-	w := c.NewWorld(c.RankNodes(np))
-	w.SetTracer(tr)
-
-	hints := mpiio.Hints{CollectiveBuffering: a.cfg.Subtype == Full}
-	if a.cfg.Hints != nil {
-		hints = *a.cfg.Hints
-	}
-	mounts := c.NFSMounts(np)
-	if a.cfg.UsePFS {
-		mounts = c.PFSMounts(np)
-	}
-	f := mpiio.OpenFile(w, a.cfg.Path, fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc,
-		mounts, hints)
-
-	dumps := a.Dumps()
-	computePerDump := a.ComputePerDump()
-	// Boundary-exchange bytes per dump: each rank exchanges cell faces
-	// with neighbours every step (the paper observes ~120 messages per
-	// write phase at 16 procs: 24 sends per step × 5 steps).
-	faceBytes := a.FaceBytes()
-	msgsPerDump := a.MessagesPerDump()
-
-	var errs []error
-	readTimes := make([]sim.Duration, np)
-	writeTimes := make([]sim.Duration, np)
-
-	for rank := 0; rank < np; rank++ {
-		rank := rank
-		c.Eng.Spawn(fmt.Sprintf("btio-r%d", rank), func(p *sim.Proc) {
-			if err := f.Open(p, rank); err != nil {
-				errs = append(errs, err)
-				return
-			}
-			right := (rank + 1) % np
-			for d := 0; d < dumps; d++ {
-				if computePerDump > 0 {
-					w.Compute(p, rank, computePerDump)
-				}
-				for m := 0; m < msgsPerDump; m++ {
-					w.Send(p, rank, right, faceBytes)
-				}
-				vecs := a.dumpVecs(rank, int64(d)*a.DumpBytes())
-				t0 := p.Now()
-				if a.cfg.Subtype == Full {
-					f.WriteVecAll(p, rank, vecs)
-				} else {
-					f.WriteVec(p, rank, vecs)
-				}
-				writeTimes[rank] += sim.Duration(p.Now() - t0)
-			}
-			w.Barrier(p, rank)
-			// Verification read-back of the whole solution history.
-			for d := 0; d < dumps; d++ {
-				vecs := a.dumpVecs(rank, int64(d)*a.DumpBytes())
-				t0 := p.Now()
-				if a.cfg.Subtype == Full {
-					f.ReadVecAll(p, rank, vecs)
-				} else {
-					f.ReadVec(p, rank, vecs)
-				}
-				readTimes[rank] += sim.Duration(p.Now() - t0)
-			}
-			f.Close(p, rank)
-		})
-	}
-	end := c.Eng.Run()
-	if len(errs) > 0 {
-		return workload.Result{}, errs[0]
-	}
-
-	res := workload.Result{ExecTime: sim.Duration(end)}
-	for r := 0; r < np; r++ {
-		if readTimes[r] > res.ReadTime {
-			res.ReadTime = readTimes[r]
-		}
-		if writeTimes[r] > res.WriteTime {
-			res.WriteTime = writeTimes[r]
-		}
-		if tot := readTimes[r] + writeTimes[r]; tot > res.IOTime {
-			res.IOTime = tot
-		}
-	}
-	res.BytesWritten = int64(dumps) * a.DumpBytes()
-	res.BytesRead = int64(dumps) * a.DumpBytes()
-	return res, nil
+	return n
 }

@@ -7,11 +7,33 @@ import (
 	"ioeval/internal/mpiio"
 	"ioeval/internal/sim"
 	"ioeval/internal/trace"
+	"ioeval/internal/workload"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 // quickClass is a reduced class for fast tests (4 dumps).
 var quickClass = btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5, ComputeTotal: 10 * sim.Second}
+
+// run executes the BT-IO spec for cfg on a fresh Aohyper; tr may be nil.
+func run(t *testing.T, org cluster.Organization, cfg btio.Config, tr mpiio.Tracer) workload.Result {
+	t.Helper()
+	res, err := synth.MustCompile(synth.BTIOSpec(cfg)).Run(cluster.Aohyper(org), tr)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return res
+}
+
+// recordSizes counts a rank's per-dump records by size: one record of
+// NX points per (z, y) line of each owned cell.
+func recordSizes(a *btio.App, rank int) map[int64]int {
+	sizes := map[int64]int{}
+	for _, g := range a.Decomposition(rank) {
+		sizes[int64(g.NX)*btio.BytesPerPoint] += g.NY * g.NZ
+	}
+	return sizes
+}
 
 func TestDecompositionMatchesPaperTable2(t *testing.T) {
 	// Class C, 16 procs: 6561 records per process per dump, sizes 1600
@@ -30,10 +52,7 @@ func TestDecompositionMatchesPaperTable2(t *testing.T) {
 	if perDump != 16*6561 {
 		t.Fatalf("records per dump (all ranks) = %d, want %d", perDump, 16*6561)
 	}
-	sizes := map[int64]int{}
-	for _, v := range a.DumpVecs(3, 0) {
-		sizes[v.Len]++
-	}
+	sizes := recordSizes(a, 3)
 	if len(sizes) > 2 {
 		t.Fatalf("record sizes = %v, want only 1600/1640", sizes)
 	}
@@ -49,10 +68,7 @@ func TestDecompositionMatchesPaperTable2(t *testing.T) {
 func TestDecompositionMatchesPaperTable5(t *testing.T) {
 	// Class C, 64 procs: 800- and 840-byte records.
 	a := btio.New(btio.Config{Class: btio.ClassC, Procs: 64, Subtype: btio.Simple})
-	sizes := map[int64]int{}
-	for _, v := range a.DumpVecs(17, 0) {
-		sizes[v.Len]++
-	}
+	sizes := recordSizes(a, 17)
 	if sizes[800] == 0 || sizes[840] == 0 {
 		t.Fatalf("record sizes = %v, want 800 and 840 bytes", sizes)
 	}
@@ -67,15 +83,19 @@ func TestDumpBytesClassC(t *testing.T) {
 }
 
 func TestCellsCoverGridExactly(t *testing.T) {
-	// Union of all ranks' records for one dump must cover the dump
-	// bytes exactly once.
+	// Union of all ranks' owned cells must cover the grid points
+	// exactly once.
 	for _, procs := range []int{4, 16} {
 		a := btio.New(btio.Config{Class: btio.Class{Name: "t", N: 12, Steps: 5, WriteInterval: 5}, Procs: procs})
-		covered := map[int64]int{}
+		covered := map[[3]int]int{}
 		for r := 0; r < procs; r++ {
-			for _, v := range a.DumpVecs(r, 0) {
-				for b := v.Off; b < v.Off+v.Len; b += btio.BytesPerPoint {
-					covered[b]++
+			for _, g := range a.Decomposition(r) {
+				for z := g.Z0; z < g.Z0+g.NZ; z++ {
+					for y := g.Y0; y < g.Y0+g.NY; y++ {
+						for x := g.X0; x < g.X0+g.NX; x++ {
+							covered[[3]int{x, y, z}]++
+						}
+					}
 				}
 			}
 		}
@@ -83,9 +103,9 @@ func TestCellsCoverGridExactly(t *testing.T) {
 		if len(covered) != wantPoints {
 			t.Fatalf("procs=%d: covered %d points, want %d", procs, len(covered), wantPoints)
 		}
-		for off, n := range covered {
+		for pt, n := range covered {
 			if n != 1 {
-				t.Fatalf("procs=%d: offset %d covered %d times", procs, off, n)
+				t.Fatalf("procs=%d: point %v covered %d times", procs, pt, n)
 			}
 		}
 	}
@@ -101,13 +121,10 @@ func TestNonSquareProcsPanics(t *testing.T) {
 }
 
 func TestFullRunProducesPaperOpCounts(t *testing.T) {
-	c := cluster.Aohyper(cluster.RAID5)
+	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full}
 	tr := trace.New()
-	a := btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full})
-	res, err := a.Run(c, tr)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	res := run(t, cluster.RAID5, cfg, tr)
+	a := btio.New(cfg)
 	p := tr.Profile()
 	// full: one collective op per rank per dump, writes then reads.
 	wantOps := int64(4 * a.Dumps())
@@ -126,12 +143,10 @@ func TestFullRunProducesPaperOpCounts(t *testing.T) {
 }
 
 func TestSimpleRunProducesPaperOpCounts(t *testing.T) {
-	c := cluster.Aohyper(cluster.JBOD)
+	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Simple}
 	tr := trace.New()
-	a := btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Simple})
-	if _, err := a.Run(c, tr); err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	run(t, cluster.JBOD, cfg, tr)
+	a := btio.New(cfg)
 	p := tr.Profile()
 	wantOps := int64(4 * a.Dumps() * a.RecordsPerDump(0))
 	if p.NumWrites != wantOps || p.NumReads != wantOps {
@@ -140,16 +155,10 @@ func TestSimpleRunProducesPaperOpCounts(t *testing.T) {
 }
 
 func TestFullFasterThanSimple(t *testing.T) {
-	run := func(st btio.Subtype) sim.Duration {
-		c := cluster.Aohyper(cluster.RAID5)
-		a := btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: st})
-		res, err := a.Run(c, nil)
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return res.IOTime
+	ioTime := func(st btio.Subtype) sim.Duration {
+		return run(t, cluster.RAID5, btio.Config{Class: quickClass, Procs: 4, Subtype: st}, nil).IOTime
 	}
-	full, simple := run(btio.Full), run(btio.Simple)
+	full, simple := ioTime(btio.Full), ioTime(btio.Simple)
 	if simple < 2*full {
 		t.Fatalf("simple I/O time (%v) not ≫ full (%v)", simple, full)
 	}
@@ -158,12 +167,10 @@ func TestFullFasterThanSimple(t *testing.T) {
 func TestPhasesMatchPaperStructure(t *testing.T) {
 	// Full subtype: 40 write phases (one per dump, separated by
 	// compute/comm) and 1 read phase (Fig. 8's description).
-	c := cluster.Aohyper(cluster.RAID5)
+	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full, ComputeScale: 0.1}
 	tr := trace.New()
-	a := btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full, ComputeScale: 0.1})
-	if _, err := a.Run(c, tr); err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	run(t, cluster.RAID5, cfg, tr)
+	a := btio.New(cfg)
 	var writePhases, readPhases int
 	for _, ph := range tr.Phases(0) {
 		if ph.Kind == mpiio.OpWrite {
@@ -181,17 +188,12 @@ func TestPhasesMatchPaperStructure(t *testing.T) {
 }
 
 func TestComputeScaleIncreasesExecNotIO(t *testing.T) {
-	run := func(scale float64) (exec, io sim.Duration) {
-		c := cluster.Aohyper(cluster.RAID5)
-		a := btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full, ComputeScale: scale})
-		res, err := a.Run(c, nil)
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
+	times := func(scale float64) (exec, io sim.Duration) {
+		res := run(t, cluster.RAID5, btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full, ComputeScale: scale}, nil)
 		return res.ExecTime, res.IOTime
 	}
-	e0, io0 := run(0)
-	e1, io1 := run(1.0)
+	e0, io0 := times(0)
+	e1, io1 := times(1.0)
 	if e1 <= e0 {
 		t.Fatalf("compute scale did not increase exec time (%v vs %v)", e1, e0)
 	}

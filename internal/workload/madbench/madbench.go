@@ -1,5 +1,4 @@
-// Package madbench implements the MADbench2 benchmark on the
-// simulated cluster: the out-of-core CMB power-spectrum workload whose
+// Package madbench defines the MADbench2 benchmark: the out-of-core CMB power-spectrum workload whose
 // three functions move whole component matrices between memory and
 // disk. In IO mode (the paper's setup: IOMETHOD=MPI, IOMODE=SYNC)
 // calculations are replaced with busy-work and the D function is
@@ -12,16 +11,15 @@
 // With 18 KPIX and 16 processes each operation moves a 162 MB slice
 // (Table VIII); with 64 processes, 40.5 MB. FileType selects one
 // shared file or one file per process (SHARED/UNIQUE).
+//
+// The runnable workload is synth.MadbenchSpec, which reads this
+// configuration and slice geometry.
 package madbench
 
 import (
 	"fmt"
 
-	"ioeval/internal/cluster"
-	"ioeval/internal/fs"
-	"ioeval/internal/mpiio"
 	"ioeval/internal/sim"
-	"ioeval/internal/workload"
 )
 
 // FileType selects the file layout, per MADbench2's FILETYPE option.
@@ -61,14 +59,13 @@ type Config struct {
 	UseLocal bool
 }
 
-// App is a configured MADbench2 instance.
+// App is a validated MADbench2 configuration.
 type App struct {
 	cfg Config
 }
 
-var _ workload.App = (*App)(nil)
-
-// New validates the configuration and returns the workload.
+// New validates and defaults the configuration; it panics on a
+// non-square process count or a SHARED file on local storage.
 func New(cfg Config) *App {
 	q := 1
 	for q*q < cfg.Procs {
@@ -92,14 +89,11 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name implements workload.App.
+// Name is the workload's display name.
 func (a *App) Name() string {
 	return fmt.Sprintf("MADbench2 %s (%d procs, %d KPIX, %d bins)",
 		a.cfg.FileType, a.cfg.Procs, a.cfg.KPix, a.cfg.Bins)
 }
-
-// Procs implements workload.App.
-func (a *App) Procs() int { return a.cfg.Procs }
 
 // Config returns the (defaulted) configuration the app runs.
 func (a *App) Config() Config { return a.cfg }
@@ -109,157 +103,4 @@ func (a *App) Config() Config { return a.cfg }
 func (a *App) SliceBytes() int64 {
 	npix := int64(a.cfg.KPix) * 1024
 	return npix * npix * 8 / int64(a.cfg.Procs)
-}
-
-// path returns the file path for a rank.
-func (a *App) path(rank int) string {
-	if a.cfg.FileType == Unique {
-		return fmt.Sprintf("%s.%04d", a.cfg.PathPrefix, rank)
-	}
-	return a.cfg.PathPrefix
-}
-
-// offset returns where bin b of rank's slice lives in its file.
-func (a *App) offset(rank, b int) int64 {
-	slice := a.SliceBytes()
-	if a.cfg.FileType == Unique {
-		return int64(b) * slice
-	}
-	// Shared: bin-major layout, slices of a bin contiguous by rank.
-	return (int64(b)*int64(a.cfg.Procs) + int64(rank)) * slice
-}
-
-// Run implements workload.App.
-func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) {
-	np := a.cfg.Procs
-	w := c.NewWorld(c.RankNodes(np))
-	w.SetTracer(tr)
-
-	mounts := c.NFSMounts(np)
-	if a.cfg.UseLocal {
-		mounts = c.LocalMounts(np)
-	}
-
-	// MADbench uses independent large operations; collective
-	// buffering brings nothing for disjoint whole-slice accesses.
-	hints := mpiio.Hints{CollectiveBuffering: false}
-
-	// With UNIQUE files every rank has its own mpiio.File over a
-	// one-rank "sub-world" view; modelled here as np independent
-	// single-rank files sharing the world for tracing.
-	files := make([]*mpiio.File, np)
-	if a.cfg.FileType == Shared {
-		f := mpiio.OpenFile(w, a.path(0), fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc, mounts, hints)
-		for r := range files {
-			files[r] = f
-		}
-	}
-
-	slice := a.SliceBytes()
-	bins := a.cfg.Bins
-	var errs []error
-	// Accumulated time inside each function's reads/writes, per rank —
-	// MADbench2 itself reports exactly these (S_w, W_r, W_w, C_r).
-	ra := workload.NewRateAggregator(np)
-	ra.Declare("S_w", "W_r", "W_w", "C_r")
-
-	for rank := 0; rank < np; rank++ {
-		rank := rank
-		c.Eng.Spawn(fmt.Sprintf("madbench-r%d", rank), func(p *sim.Proc) {
-			f := files[rank]
-			if f == nil {
-				// UNIQUE: a per-rank world/file pair.
-				sub := c.NewWorld([]string{w.Node(rank)})
-				sub.SetTracer(&rankShift{tr: w.Tracer(), rank: rank})
-				f = mpiio.OpenFile(sub, a.path(rank), fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc,
-					[]fs.Interface{mounts[rank]}, hints)
-			}
-			fRank := rank
-			if a.cfg.FileType == Unique {
-				fRank = 0
-			}
-			if err := f.Open(p, fRank); err != nil {
-				errs = append(errs, err)
-				return
-			}
-
-			timed := func(key string, fn func()) {
-				t0 := p.Now()
-				fn()
-				ra.Add(key, rank, sim.Duration(p.Now()-t0), slice)
-			}
-
-			// syncWrite performs one matrix write; in SYNC I/O mode
-			// (IOMODE=SYNC, the paper's setting) it is followed by a
-			// sync so the cost cannot hide in a write-behind cache.
-			syncWrite := func(off int64) {
-				f.WriteAt(p, fRank, off, slice)
-				if !a.cfg.AsyncWrites {
-					f.Sync(p, fRank)
-				}
-			}
-			// S: build and write each bin matrix.
-			for b := 0; b < bins; b++ {
-				if a.cfg.BusyWork > 0 {
-					w.Compute(p, rank, a.cfg.BusyWork)
-				}
-				b := b
-				timed("S_w", func() { syncWrite(a.offset(rank, b)) })
-			}
-			// W: read each bin, busy-work, write it back.
-			for b := 0; b < bins; b++ {
-				b := b
-				timed("W_r", func() { f.ReadAt(p, fRank, a.offset(rank, b), slice) })
-				if a.cfg.BusyWork > 0 {
-					w.Compute(p, rank, a.cfg.BusyWork)
-				}
-				timed("W_w", func() { syncWrite(a.offset(rank, b)) })
-			}
-			// C: read each bin.
-			for b := 0; b < bins; b++ {
-				b := b
-				timed("C_r", func() { f.ReadAt(p, fRank, a.offset(rank, b), slice) })
-			}
-			f.Close(p, fRank)
-		})
-	}
-	end := c.Eng.Run()
-	if len(errs) > 0 {
-		return workload.Result{}, errs[0]
-	}
-
-	// Ranks run in parallel: each key's aggregate rate is the total
-	// bytes of the function over the slowest rank's time in it.
-	res := workload.Result{ExecTime: sim.Duration(end), PhaseRates: ra.Rates()}
-	for r := 0; r < np; r++ {
-		read := ra.Duration("W_r", r) + ra.Duration("C_r", r)
-		write := ra.Duration("S_w", r) + ra.Duration("W_w", r)
-		if read > res.ReadTime {
-			res.ReadTime = read
-		}
-		if write > res.WriteTime {
-			res.WriteTime = write
-		}
-		if read+write > res.IOTime {
-			res.IOTime = read + write
-		}
-	}
-	res.BytesWritten = 2 * int64(bins) * slice * int64(np)
-	res.BytesRead = 2 * int64(bins) * slice * int64(np)
-	return res, nil
-}
-
-// rankShift relabels events from per-rank sub-worlds (always rank 0)
-// with the true rank.
-type rankShift struct {
-	tr   mpiio.Tracer
-	rank int
-}
-
-func (rs *rankShift) Record(ev mpiio.Event) {
-	if rs.tr == nil {
-		return
-	}
-	ev.Rank = rs.rank
-	rs.tr.Record(ev)
 }

@@ -6,10 +6,22 @@ import (
 	"ioeval/internal/cluster"
 	"ioeval/internal/mpiio"
 	"ioeval/internal/trace"
+	"ioeval/internal/workload"
 	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 const mb = int64(1) << 20
+
+// run executes the MADbench2 spec for cfg on c; tr may be nil.
+func run(t *testing.T, c *cluster.Cluster, cfg madbench.Config, tr mpiio.Tracer) workload.Result {
+	t.Helper()
+	res, err := synth.MustCompile(synth.MadbenchSpec(cfg)).Run(c, tr)
+	if err != nil {
+		t.Fatalf("%s run: %v", cfg.FileType, err)
+	}
+	return res
+}
 
 func TestSliceBytesMatchesPaperTable8(t *testing.T) {
 	// 18 KPIX ⇒ 18432² doubles = 2.53 GiB; /16 procs = 162 MiB,
@@ -46,12 +58,8 @@ func TestOpCountsMatchPaperStructure(t *testing.T) {
 	// Per process: 16 writes (8 in S, 8 in W) and 16 reads (8 in W,
 	// 8 in C); with 4 procs: 64 each. UNIQUE ⇒ 4 files.
 	for _, ft := range []madbench.FileType{madbench.Unique, madbench.Shared} {
-		c := cluster.Aohyper(cluster.RAID5)
 		tr := trace.New()
-		a := madbench.New(madbench.Config{Procs: 4, KPix: 2, Bins: 8, FileType: ft})
-		if _, err := a.Run(c, tr); err != nil {
-			t.Fatalf("%v run: %v", ft, err)
-		}
+		run(t, cluster.Aohyper(cluster.RAID5), madbench.Config{Procs: 4, KPix: 2, Bins: 8, FileType: ft}, tr)
 		p := tr.Profile()
 		if p.NumWrites != 64 || p.NumReads != 64 {
 			t.Fatalf("%v: w=%d r=%d, want 64 each", ft, p.NumWrites, p.NumReads)
@@ -73,12 +81,8 @@ func TestThreeIOPhases(t *testing.T) {
 	// Each rank shows: a write phase (S), a mixed region that phase
 	// detection splits into read/write alternations (W), and a read
 	// phase (C). First phase must be writes, last must be reads.
-	c := cluster.Aohyper(cluster.RAID5)
 	tr := trace.New()
-	a := madbench.New(madbench.Config{Procs: 4, KPix: 2, Bins: 8, FileType: madbench.Shared})
-	if _, err := a.Run(c, tr); err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	run(t, cluster.Aohyper(cluster.RAID5), madbench.Config{Procs: 4, KPix: 2, Bins: 8, FileType: madbench.Shared}, tr)
 	phases := tr.Phases(0)
 	if len(phases) < 3 {
 		t.Fatalf("phases = %d, want ≥3", len(phases))
@@ -93,12 +97,7 @@ func TestThreeIOPhases(t *testing.T) {
 }
 
 func TestPhaseRatesReported(t *testing.T) {
-	c := cluster.Aohyper(cluster.RAID5)
-	a := madbench.New(madbench.Config{Procs: 4, KPix: 2, Bins: 4, FileType: madbench.Shared})
-	res, err := a.Run(c, nil)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	res := run(t, cluster.Aohyper(cluster.RAID5), madbench.Config{Procs: 4, KPix: 2, Bins: 4, FileType: madbench.Shared}, nil)
 	for _, k := range []string{"S_w", "W_r", "W_w", "C_r"} {
 		if res.PhaseRates[k] <= 0 {
 			t.Fatalf("phase %s rate = %f", k, res.PhaseRates[k])
@@ -114,10 +113,7 @@ func TestPhaseRatesReported(t *testing.T) {
 
 func TestUniqueLocalRunsOnNodeDisks(t *testing.T) {
 	c := cluster.Aohyper(cluster.JBOD)
-	a := madbench.New(madbench.Config{Procs: 4, KPix: 2, Bins: 4, FileType: madbench.Unique, UseLocal: true})
-	if _, err := a.Run(c, nil); err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	run(t, c, madbench.Config{Procs: 4, KPix: 2, Bins: 4, FileType: madbench.Unique, UseLocal: true}, nil)
 	if c.DataNet.Stats.Bytes != 0 {
 		t.Fatalf("local run moved %d bytes over the data network", c.DataNet.Stats.Bytes)
 	}
@@ -133,21 +129,16 @@ func TestUniqueLocalRunsOnNodeDisks(t *testing.T) {
 }
 
 func TestBusyWorkIncreasesExecOnly(t *testing.T) {
-	run := func(busy bool) (exec, io float64) {
-		c := cluster.Aohyper(cluster.RAID5)
+	times := func(busy bool) (exec, io float64) {
 		cfg := madbench.Config{Procs: 4, KPix: 2, Bins: 4, FileType: madbench.Shared}
 		if busy {
 			cfg.BusyWork = 2e9 // 2 s per bin
 		}
-		a := madbench.New(cfg)
-		res, err := a.Run(c, nil)
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
+		res := run(t, cluster.Aohyper(cluster.RAID5), cfg, nil)
 		return res.ExecTime.Seconds(), res.IOTime.Seconds()
 	}
-	e0, _ := run(false)
-	e1, io1 := run(true)
+	e0, _ := times(false)
+	e1, io1 := times(true)
 	if e1 <= e0 {
 		t.Fatalf("busy work did not increase exec time: %f vs %f", e1, e0)
 	}

@@ -12,7 +12,7 @@ import (
 
 // App is a compiled spec, runnable as a workload.App. Each Run builds
 // fresh worlds and files on the given cluster, so one App can be
-// reused across sweep cells exactly like the hand-coded apps.
+// reused across sweep cells.
 type App struct {
 	spec  *Spec
 	chain []*PhaseSpec
@@ -115,7 +115,7 @@ func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) 
 	w.SetTracer(tr)
 
 	// Resolve storage and pre-open shared files (one mpiio.File over
-	// the full world, like the hand-coded apps).
+	// the full world).
 	mountsByFile := make([][]fs.Interface, len(s.Files))
 	shared := make([]*mpiio.File, len(s.Files))
 	for i := range s.Files {
@@ -247,8 +247,8 @@ func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) 
 	return res, nil
 }
 
-// doIO dispatches one access to the library call the hand-coded apps
-// use for the same shape: collective steps always participate (the
+// doIO dispatches one access to the library call for its shape:
+// collective steps always participate (the
 // rendezvous needs every rank, even empty contributors); independent
 // single-extent steps are plain WriteAt/ReadAt; independent
 // multi-extent steps are vector operations.

@@ -60,91 +60,41 @@ func goldenCharCfg() core.CharacterizeConfig {
 	}
 }
 
-// TestSynthConformEvaluationGolden is the acceptance differential:
-// the synthetic BT-IO spec must reproduce the hand-coded BT-IO
-// *evaluation* — io-time, byte counts, the used-% table, and the
-// span-side PathReport verdict — on the same characterization, and
-// the synthetic side is pinned as a committed golden so drift in
-// either the DSL engine or the evaluation plumbing is caught even
-// when both sides drift together.
+// TestSynthConformEvaluationGolden pins the BT-IO *evaluation* —
+// io-time, byte counts, the used-% table, and the span-side PathReport
+// verdict — on a fixed characterization. The goldens were recorded
+// from the original hand-coded BT-IO, so drift in either the DSL
+// engine or the evaluation plumbing is caught. The same evaluation's
+// telemetry report is pinned by core's TestTelemetryReportGolden.
 func TestSynthConformEvaluationGolden(t *testing.T) {
-	sess := core.NewSession(goldenCluster, core.WithCharacterizeConfig(goldenCharCfg()))
-	ch, err := sess.Characterization()
-	if err != nil {
-		t.Fatalf("characterize: %v", err)
-	}
-
 	quick := btio.Class{Name: "Q", N: 64, Steps: 5, WriteInterval: 5}
-	cfg := btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}
-	evHand, err := core.NewSession(goldenCluster, core.WithCharacterization(ch)).Evaluate(btio.New(cfg))
-	if err != nil {
-		t.Fatalf("evaluate hand: %v", err)
-	}
-	evSynth, err := core.NewSession(goldenCluster, core.WithCharacterization(ch)).Evaluate(synth.MustCompile(synth.BTIOSpec(cfg)))
-	if err != nil {
-		t.Fatalf("evaluate synth: %v", err)
-	}
+	ev := evaluateGolden(t, synth.BTIOSpec(btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}))
 
-	// Evaluation text: result table, measurements, used-% verdict.
-	handText := core.FormatEvaluation(evHand)
-	synthText := core.FormatEvaluation(evSynth)
-	if handText != synthText {
-		t.Errorf("evaluation diverges:\n--- hand ---\n%s\n--- synth ---\n%s", handText, synthText)
-	}
-
-	// Span side: the full PathReport (profile, self times, verdicts,
-	// conservation invariant) must match exactly.
-	handPR, err := json.MarshalIndent(evHand.PathReport(), "", "  ")
+	pr, err := json.MarshalIndent(ev.PathReport(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	synthPR, err := json.MarshalIndent(evSynth.PathReport(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(handPR, synthPR) {
-		t.Errorf("path report diverges:\n--- hand ---\n%s\n--- synth ---\n%s", handPR, synthPR)
-	}
-
-	// Telemetry snapshots (per-level counters at phase boundaries).
-	var handTel, synthTel bytes.Buffer
-	if err := evHand.TelemetryReport().WriteJSON(&handTel); err != nil {
-		t.Fatal(err)
-	}
-	if err := evSynth.TelemetryReport().WriteJSON(&synthTel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(handTel.Bytes(), synthTel.Bytes()) {
-		t.Errorf("telemetry report diverges (%d vs %d bytes)", handTel.Len(), synthTel.Len())
-	}
-
-	compareGolden(t, filepath.Join("testdata", "synth_btio_evaluation.golden.txt"), []byte(synthText))
-	compareGolden(t, filepath.Join("testdata", "synth_btio_path_report.golden.json"), append(synthPR, '\n'))
+	compareGolden(t, filepath.Join("testdata", "synth_btio_evaluation.golden.txt"), []byte(core.FormatEvaluation(ev)))
+	compareGolden(t, filepath.Join("testdata", "synth_btio_path_report.golden.json"), append(pr, '\n'))
 }
 
-// TestSynthConformMadbenchEvaluation does the same differential for
-// MADbench2 (shared file, phase rates in play), pinning the synthetic
-// side's evaluation text as a golden.
+// TestSynthConformMadbenchEvaluation does the same for MADbench2
+// (shared file, phase rates in play), against the evaluation text
+// recorded from the original hand-coded MADbench2.
 func TestSynthConformMadbenchEvaluation(t *testing.T) {
-	sess := core.NewSession(goldenCluster, core.WithCharacterizeConfig(goldenCharCfg()))
-	ch, err := sess.Characterization()
+	ev := evaluateGolden(t, synth.MadbenchSpec(madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared}))
+	compareGolden(t, filepath.Join("testdata", "synth_madbench_evaluation.golden.txt"), []byte(core.FormatEvaluation(ev)))
+}
+
+// evaluateGolden characterizes the golden cluster and evaluates the
+// compiled spec on it.
+func evaluateGolden(t *testing.T, spec *synth.Spec) *core.Evaluation {
+	t.Helper()
+	ev, err := core.NewSession(goldenCluster, core.WithCharacterizeConfig(goldenCharCfg())).Evaluate(synth.MustCompile(spec))
 	if err != nil {
-		t.Fatalf("characterize: %v", err)
+		t.Fatalf("evaluate: %v", err)
 	}
-	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared}
-	evHand, err := core.NewSession(goldenCluster, core.WithCharacterization(ch)).Evaluate(madbench.New(cfg))
-	if err != nil {
-		t.Fatalf("evaluate hand: %v", err)
-	}
-	evSynth, err := core.NewSession(goldenCluster, core.WithCharacterization(ch)).Evaluate(synth.MustCompile(synth.MadbenchSpec(cfg)))
-	if err != nil {
-		t.Fatalf("evaluate synth: %v", err)
-	}
-	hand, syn := core.FormatEvaluation(evHand), core.FormatEvaluation(evSynth)
-	if hand != syn {
-		t.Errorf("evaluation diverges:\n--- hand ---\n%s\n--- synth ---\n%s", hand, syn)
-	}
-	compareGolden(t, filepath.Join("testdata", "synth_madbench_evaluation.golden.txt"), []byte(syn))
+	return ev
 }
 
 func compareGolden(t *testing.T, path string, got []byte) {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"ioeval/internal/cluster"
@@ -20,17 +19,6 @@ import (
 // (4 dumps).
 var quickClass = btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5, ComputeTotal: 10 * sim.Second}
 
-// runTraced runs an app on a fresh cluster with a fresh tracer.
-func runTraced(t *testing.T, build func() *cluster.Cluster, app workload.App) (workload.Result, *trace.Tracer) {
-	t.Helper()
-	tr := trace.New()
-	res, err := app.Run(build(), tr)
-	if err != nil {
-		t.Fatalf("%s: run: %v", app.Name(), err)
-	}
-	return res, tr
-}
-
 // conformRecord renders everything the conformance tests pin about one
 // run: identity, the full Result and trace Profile (%#v, so durations
 // print as exact nanoseconds), the event count, and a SHA-256 over the
@@ -45,87 +33,59 @@ func conformRecord(app workload.App, res workload.Result, tr *trace.Tracer) []by
 		app.Name(), app.Procs(), res, tr.Profile(), len(evs), h.Sum(nil))
 }
 
-// assertConform runs the hand-coded app and its synthetic
-// re-expression on identical fresh clusters and asserts byte-for-byte
-// equality: the full Result (times, bytes, phase rates), the raw
-// event trace (every operation, offset, size, and timestamp), and the
-// derived characterization profile. The simulation is deterministic,
-// so exact equality is the right bar — any drift means the DSL or its
-// engine diverged from the hand-coded semantics. The synthetic run's
-// record is also pinned as testdata/conform/<name>.golden.txt.
-func assertConform(t *testing.T, name string, build func() *cluster.Cluster, hand workload.App, spec *synth.Spec) {
+// assertConform runs the spec on a fresh Aohyper with the given
+// organization and compares its conformance record with
+// testdata/conform/<name>.golden.txt. The goldens were recorded from the original hand-coded BT-IO and
+// MADbench2 while they still ran beside the specs, so they pin the
+// specs to the benchmarks' semantics: the full Result (times, bytes,
+// phase rates), the raw event trace (every operation, offset, size,
+// and timestamp), and the derived characterization profile. The
+// simulation is deterministic, so exact equality is the right bar.
+func assertConform(t *testing.T, name string, org cluster.Organization, spec *synth.Spec) {
 	t.Helper()
 	app, err := synth.Compile(spec)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if app.Name() != hand.Name() || app.Procs() != hand.Procs() {
-		t.Fatalf("identity: synth (%q, %d) vs hand (%q, %d)",
-			app.Name(), app.Procs(), hand.Name(), hand.Procs())
+	tr := trace.New()
+	res, err := app.Run(cluster.Aohyper(org), tr)
+	if err != nil {
+		t.Fatalf("%s: run: %v", app.Name(), err)
 	}
-
-	handRes, handTr := runTraced(t, build, hand)
-	synthRes, synthTr := runTraced(t, build, app)
-
-	if !reflect.DeepEqual(handRes, synthRes) {
-		t.Errorf("Result diverges:\nhand:  %+v\nsynth: %+v", handRes, synthRes)
-	}
-	he, se := handTr.Events(), synthTr.Events()
-	if len(he) != len(se) {
-		t.Fatalf("event counts diverge: hand %d, synth %d", len(he), len(se))
-	}
-	for i := range he {
-		if he[i] != se[i] {
-			t.Fatalf("event %d diverges:\nhand:  %+v\nsynth: %+v", i, he[i], se[i])
-		}
-	}
-	if !reflect.DeepEqual(handTr.Profile(), synthTr.Profile()) {
-		t.Errorf("Profile diverges:\nhand:  %+v\nsynth: %+v", handTr.Profile(), synthTr.Profile())
-	}
-	handRec, synthRec := conformRecord(hand, handRes, handTr), conformRecord(app, synthRes, synthTr)
-	if string(handRec) != string(synthRec) {
-		t.Fatalf("conformance record diverges:\nhand:\n%s\nsynth:\n%s", handRec, synthRec)
-	}
-	compareGolden(t, filepath.Join("testdata", "conform", name+".golden.txt"), synthRec)
+	compareGolden(t, filepath.Join("testdata", "conform", name+".golden.txt"), conformRecord(app, res, tr))
 }
 
 func TestSynthConformBTIOFull(t *testing.T) {
 	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full}
-	assertConform(t, "btio_full", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
-		btio.New(cfg), synth.BTIOSpec(cfg))
+	assertConform(t, "btio_full", cluster.RAID5, synth.BTIOSpec(cfg))
 }
 
 func TestSynthConformBTIOSimple(t *testing.T) {
 	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Simple}
-	assertConform(t, "btio_simple", func() *cluster.Cluster { return cluster.Aohyper(cluster.JBOD) },
-		btio.New(cfg), synth.BTIOSpec(cfg))
+	assertConform(t, "btio_simple", cluster.JBOD, synth.BTIOSpec(cfg))
 }
 
 func TestSynthConformBTIOComputeComm(t *testing.T) {
 	// Compute delays and boundary-exchange messages shift the timeline;
 	// conformance must hold with them in play.
 	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full, ComputeScale: 0.1}
-	assertConform(t, "btio_compute_comm", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
-		btio.New(cfg), synth.BTIOSpec(cfg))
+	assertConform(t, "btio_compute_comm", cluster.RAID5, synth.BTIOSpec(cfg))
 }
 
 func TestSynthConformMadbenchShared(t *testing.T) {
 	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared}
-	assertConform(t, "madbench_shared", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
-		madbench.New(cfg), synth.MadbenchSpec(cfg))
+	assertConform(t, "madbench_shared", cluster.RAID5, synth.MadbenchSpec(cfg))
 }
 
 func TestSynthConformMadbenchUnique(t *testing.T) {
 	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Unique,
 		UseLocal: true, BusyWork: 5 * sim.Millisecond}
-	assertConform(t, "madbench_unique", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
-		madbench.New(cfg), synth.MadbenchSpec(cfg))
+	assertConform(t, "madbench_unique", cluster.RAID5, synth.MadbenchSpec(cfg))
 }
 
 func TestSynthConformMadbenchAsync(t *testing.T) {
 	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared, AsyncWrites: true}
-	assertConform(t, "madbench_async", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
-		madbench.New(cfg), synth.MadbenchSpec(cfg))
+	assertConform(t, "madbench_async", cluster.RAID5, synth.MadbenchSpec(cfg))
 }
 
 // TestSynthConformSpecRoundTrip asserts the DSL is lossless through
@@ -142,8 +102,7 @@ func TestSynthConformSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	assertConform(t, "btio_spec_roundtrip", func() *cluster.Cluster { return cluster.Aohyper(cluster.RAID5) },
-		btio.New(cfg), spec)
+	assertConform(t, "btio_spec_roundtrip", cluster.RAID5, spec)
 }
 
 type writerBuf struct{ b []byte }

@@ -5,12 +5,11 @@ import (
 	"ioeval/internal/workload/madbench"
 )
 
-// BTIOSpec re-expresses a BT-IO configuration in the DSL. The spec is
-// exact: it derives the per-rank access geometry from the app's own
-// diagonal multi-partitioning (btio.Decomposition), so compiling and
-// running it reproduces the hand-coded run event for event — the
-// differential conformance tests assert byte-for-byte equality of
-// traces, Result, and reports.
+// BTIOSpec expresses a BT-IO configuration in the DSL; it is the only
+// runnable definition of BT-IO. It derives the per-rank access
+// geometry from the diagonal multi-partitioning (btio.Decomposition).
+// The conformance tests pin its traces, Result and reports against
+// goldens recorded from the original hand-coded benchmark.
 func BTIOSpec(cfg btio.Config) *Spec {
 	app := btio.New(cfg)
 	c := app.Config()
@@ -33,7 +32,7 @@ func BTIOSpec(cfg btio.Config) *Spec {
 	}
 
 	// One access per owned cell: a block per x-line, strided over the
-	// cell's z (outer) and y (inner) extents — exactly dumpVecs' order.
+	// cell's z (outer) and y (inner) extents.
 	perRank := make([][]AccessSpec, np)
 	for rank := 0; rank < np; rank++ {
 		for _, g := range app.Decomposition(rank) {
@@ -78,9 +77,10 @@ func BTIOSpec(cfg btio.Config) *Spec {
 	}
 }
 
-// MadbenchSpec re-expresses a MADbench2 configuration in the DSL:
-// three looped phases (S, W, C) of whole-slice independent operations
-// with synced writes, over one shared file or per-rank UNIQUE files.
+// MadbenchSpec expresses a MADbench2 configuration in the DSL, the only
+// runnable definition of MADbench2: three looped phases (S, W, C) of
+// whole-slice independent operations with synced writes, over one
+// shared file or per-rank UNIQUE files.
 func MadbenchSpec(cfg madbench.Config) *Spec {
 	app := madbench.New(cfg)
 	c := app.Config()

@@ -2,14 +2,15 @@
 // workload is a phase graph — named phases of compute, communication,
 // and collective/independent I/O steps, chained by Next edges and
 // repeated by per-phase loop counts — parsed from a JSON spec and
-// compiled to a workload.App that runs through the same
-// ioreq/span/telemetry path as the hand-coded applications.
+// compiled to a workload.App that runs through the ioreq/span/telemetry
+// path.
 //
-// The model is rich enough to re-express the paper's two applications
-// exactly (BTIOSpec, MadbenchSpec): the differential conformance
-// tests assert byte-for-byte equality of traces, results, and reports
-// between each hand-coded app and its synthetic re-expression. New
-// workloads therefore cost a spec file, not a Go package.
+// The paper's two applications are defined only here (BTIOSpec,
+// MadbenchSpec); the btio and madbench packages hold just their
+// configuration and geometry. The conformance tests compare traces,
+// results and reports byte for byte against goldens recorded from the
+// original hand-coded benchmarks. New workloads therefore cost a spec
+// file, not a Go package.
 package synth
 
 import (

@@ -51,8 +51,8 @@ type App interface {
 // Result.PhaseRates: cumulative per-rank time and total bytes per key.
 // Ranks run in parallel, so a key's aggregate rate is its total bytes
 // over the slowest rank's cumulative time in it — MADbench2's S_w,
-// W_r, W_w, C_r convention, shared by every workload that reports
-// phase rates (the hand-coded MADbench2 and the synthetic engine).
+// W_r, W_w, C_r convention, which the synthetic engine applies to
+// every step with a RateKey.
 type RateAggregator struct {
 	np    int
 	keys  []string // declaration order, for deterministic iteration
