@@ -419,24 +419,7 @@ func (f *File) collective(r *ioreq.Request, rank int, vecs []fs.IOVec, write boo
 // computePlan merges all contributions into a minimal contiguous
 // cover and partitions it evenly across aggregators.
 func (c *collOp) computePlan(f *File) {
-	var all []fs.IOVec
-	for _, vs := range c.vecs {
-		all = append(all, vs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Off < all[j].Off })
-	var merged []fs.IOVec
-	for _, v := range all {
-		if v.Len == 0 {
-			continue
-		}
-		if m := len(merged); m > 0 && v.Off <= merged[m-1].Off+merged[m-1].Len {
-			if end := v.Off + v.Len; end > merged[m-1].Off+merged[m-1].Len {
-				merged[m-1].Len = end - merged[m-1].Off
-			}
-		} else {
-			merged = append(merged, v)
-		}
-	}
+	merged := cover(c.vecs)
 	var total int64
 	for _, m := range merged {
 		total += m.Len
@@ -474,6 +457,79 @@ func (c *collOp) computePlan(f *File) {
 	}
 	if cur.size > 0 || len(c.parts) == 0 {
 		c.parts = append(c.parts, cur)
+	}
+}
+
+// cover returns the union of the ranks' extents as ascending extents
+// that neither overlap nor touch, skipping zero-length ones; vecs is
+// only read. Each rank's list is cut into maximal ascending runs (one
+// run per rank when the rank issues its extents in file order, as the
+// applications do) and the runs are merged through a min-heap on their
+// head offsets, so N extents in k runs cost O(N log k) rather than a
+// sort of all N. A union of half-open intervals is unique, so the
+// cover does not depend on the order among equal offsets: it is the
+// one a full sort of the concatenation followed by the same coalescing
+// gives.
+func cover(vecs [][]fs.IOVec) []fs.IOVec {
+	var h runHeap
+	for _, vs := range vecs {
+		for len(vs) > 0 {
+			i := 1
+			for i < len(vs) && vs[i].Off >= vs[i-1].Off {
+				i++
+			}
+			h = append(h, vs[:i])
+			vs = vs[i:]
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	var merged []fs.IOVec
+	for len(h) > 0 {
+		run := h[0]
+		v := run[0]
+		if len(run) > 1 {
+			h[0] = run[1:]
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+		if v.Len == 0 {
+			continue
+		}
+		if m := len(merged); m > 0 && v.Off <= merged[m-1].Off+merged[m-1].Len {
+			if end := v.Off + v.Len; end > merged[m-1].Off+merged[m-1].Len {
+				merged[m-1].Len = end - merged[m-1].Off
+			}
+		} else {
+			merged = append(merged, v)
+		}
+	}
+	return merged
+}
+
+// runHeap is a binary min-heap of non-empty ascending extent runs,
+// keyed on each run's first offset. It is typed rather than built on
+// container/heap, whose interface calls would dominate the merge.
+type runHeap [][]fs.IOVec
+
+// down restores the heap property below i.
+func (h runHeap) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r][0].Off < h[m][0].Off {
+			m = r
+		}
+		if h[i][0].Off <= h[m][0].Off {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
 }
 
